@@ -13,9 +13,9 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build-release}"
 BENCHES=("$@")
 if [ "${#BENCHES[@]}" -eq 0 ]; then
-  BENCHES=(micro_parallel_scan micro_late_mat micro_simd_kernels
-           micro_prefetch micro_trace_overhead ab_admission ab_pushdown
-           ab_ingest)
+  BENCHES=(micro_parallel_scan micro_container_overhead micro_late_mat
+           micro_simd_kernels micro_prefetch micro_trace_overhead
+           ab_admission ab_pushdown ab_ingest)
 fi
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release

@@ -68,7 +68,6 @@ FileCache::FileCache(CacheOptions options, ObjectStore* shared_storage)
       reg->GetCounter("eon_prefetch_rejected_total", labels);
   metrics_.size_bytes = reg->GetGauge("eon_cache_size_bytes", labels);
   metrics_.files = reg->GetGauge("eon_cache_files", labels);
-  metrics_.pinned_refs = reg->GetGauge("eon_cache_pinned_refs", labels);
   metrics_.prefetch_inflight_bytes =
       reg->GetGauge("eon_prefetch_inflight_bytes", labels);
   metrics_.fetch_wait_micros =
@@ -148,7 +147,6 @@ void FileCache::InsertLocked(Shard& shard, const std::string& key,
   e.data = std::move(data);
   e.policy_pinned = policy == CachePolicy::kPin;
   e.prefetched = prefetched;
-  e.gen = NextStamp();
   e.last_access = NextStamp();
   size_bytes_.fetch_add(e.data->size(), std::memory_order_relaxed);
   file_count_.fetch_add(1, std::memory_order_relaxed);
@@ -181,9 +179,10 @@ void FileCache::MaybeEvict() {
   }
   std::sort(candidates.begin(), candidates.end());
 
-  // Ref-pinned entries (in-progress reads) are never evicted; policy-
-  // pinned entries only fall in the second pass, when unpinned entries
-  // alone cannot fit the budget.
+  // Entries with a live FileRef (in-progress reads: the bytes are shared
+  // beyond the cache's own reference) are never evicted; policy-pinned
+  // entries only fall in the second pass, when unpinned entries alone
+  // cannot fit the budget.
   auto evict_pass = [&](bool include_policy_pinned) {
     for (const auto& [pri, stamp, shard, key] : candidates) {
       (void)pri;
@@ -195,7 +194,7 @@ void FileCache::MaybeEvict() {
       auto it = shard->entries.find(key);
       if (it == shard->entries.end()) continue;  // Evicted in pass 1.
       const Entry& e = it->second;
-      if (e.ref_pins > 0) continue;
+      if (e.data.use_count() > 1) continue;
       if (!include_policy_pinned && e.policy_pinned) continue;
       if (e.prefetched) metrics_.prefetch_wasted->Increment();
       size_bytes_.fetch_sub(e.data->size(), std::memory_order_relaxed);
@@ -211,36 +210,8 @@ void FileCache::MaybeEvict() {
   UpdateGauges();
 }
 
-FileRef FileCache::MakePinnedRef(const std::string& key, const Entry& entry) {
-  // The ref aliases the cached bytes; releasing the last copy unpins the
-  // entry (from whatever thread drops it last). `gen` guards against a
-  // drop + re-insert recycling the key while this ref is alive.
-  struct Holder {
-    FileCache* cache;
-    std::string key;
-    uint64_t gen;
-    std::shared_ptr<const std::string> data;
-  };
-  auto* holder = new Holder{this, key, entry.gen, entry.data};
-  return FileRef(holder->data.get(), [holder](const std::string*) {
-    holder->cache->ReleasePin(holder->key, holder->gen);
-    delete holder;
-  });
-}
-
-void FileCache::ReleasePin(const std::string& key, uint64_t gen) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end() && it->second.gen == gen &&
-      it->second.ref_pins > 0) {
-    --it->second.ref_pins;
-  }
-  metrics_.pinned_refs->Sub(1);
-}
-
 Result<FileRef> FileCache::FetchShared(const std::string& key,
-                                       bool allow_insert, bool pin) {
+                                       bool allow_insert) {
   Shard& shard = ShardFor(key);
   std::shared_ptr<Inflight> flight;
   {
@@ -252,11 +223,6 @@ Result<FileRef> FileCache::FetchShared(const std::string& key,
       metrics_.bytes_hit->Increment(e.data->size());
       MarkDemandRead(&e);
       e.last_access = NextStamp();
-      if (pin) {
-        ++e.ref_pins;
-        metrics_.pinned_refs->Add(1);
-        return MakePinnedRef(key, e);
-      }
       return FileRef(e.data);
     }
     metrics_.misses->Increment();
@@ -291,13 +257,7 @@ Result<FileRef> FileCache::FetchShared(const std::string& key,
         Entry& e = eit->second;
         MarkDemandRead(&e);
         e.last_access = NextStamp();
-        if (pin) {
-          ++e.ref_pins;
-          metrics_.pinned_refs->Add(1);
-          out = MakePinnedRef(key, e);
-        } else {
-          out = e.data;
-        }
+        out = e.data;
       } else {
         out = flight->data;  // Not resident; refcount keeps it alive.
       }
@@ -341,15 +301,8 @@ Result<FileRef> FileCache::FetchShared(const std::string& key,
         InsertLocked(shard, key, data, policy);
       }
       auto eit = shard.entries.find(key);
-      if (pin && eit != shard.entries.end()) {
-        Entry& e = eit->second;
-        MarkDemandRead(&e);
-        ++e.ref_pins;
-        metrics_.pinned_refs->Add(1);
-        out = MakePinnedRef(key, e);
-      } else {
-        out = std::move(data);
-      }
+      if (eit != shard.entries.end()) MarkDemandRead(&eit->second);
+      out = std::move(data);
     }
     flight->done = true;
     shard.inflight.erase(key);
@@ -362,13 +315,12 @@ Result<FileRef> FileCache::FetchShared(const std::string& key,
 }
 
 Result<std::string> FileCache::Fetch(const std::string& key) {
-  EON_ASSIGN_OR_RETURN(FileRef ref,
-                       FetchShared(key, /*allow_insert=*/true, /*pin=*/false));
+  EON_ASSIGN_OR_RETURN(FileRef ref, FetchShared(key, /*allow_insert=*/true));
   return *ref;
 }
 
 Result<FileRef> FileCache::FetchRef(const std::string& key) {
-  return FetchShared(key, /*allow_insert=*/true, /*pin=*/true);
+  return FetchShared(key, /*allow_insert=*/true);
 }
 
 PendingFile FileCache::FetchRefAsync(const std::string& key) {
@@ -384,14 +336,11 @@ PendingFile FileCache::FetchRefAsync(const std::string& key) {
       metrics_.bytes_hit->Increment(e.data->size());
       MarkDemandRead(&e);
       e.last_access = NextStamp();
-      ++e.ref_pins;
-      metrics_.pinned_refs->Add(1);
-      return PendingFile::MakeReady(MakePinnedRef(key, e));
+      return PendingFile::MakeReady(FileRef(e.data));
     }
   }
   if (options_.io_pool == nullptr) {
-    return PendingFile::MakeReady(
-        FetchShared(key, /*allow_insert=*/true, /*pin=*/true));
+    return PendingFile::MakeReady(FetchShared(key, /*allow_insert=*/true));
   }
   PendingFile pending = PendingFile::MakePending(metrics_.fetch_wait_micros);
   BeginAsyncTask();
@@ -401,7 +350,7 @@ PendingFile FileCache::FetchRefAsync(const std::string& key) {
   options_.io_pool->Submit(
       [this, key, pending, trace = obs::CurrentTraceCopy()]() mutable {
         obs::TraceScope task_trace(std::move(trace));
-        pending.Complete(FetchShared(key, /*allow_insert=*/true, /*pin=*/true));
+        pending.Complete(FetchShared(key, /*allow_insert=*/true));
         EndAsyncTask();
       });
   return pending;
@@ -530,8 +479,7 @@ void FileCache::DoPrefetch(const std::string& key, uint64_t hint) {
 }
 
 Result<std::string> FileCache::FetchBypass(const std::string& key) {
-  EON_ASSIGN_OR_RETURN(
-      FileRef ref, FetchShared(key, /*allow_insert=*/false, /*pin=*/false));
+  EON_ASSIGN_OR_RETURN(FileRef ref, FetchShared(key, /*allow_insert=*/false));
   return *ref;
 }
 
@@ -727,8 +675,16 @@ Result<std::string> FileCache::TryGetResident(const std::string& key) const {
 }
 
 uint64_t FileCache::pinned_refs() const {
-  const int64_t v = metrics_.pinned_refs->Value();
-  return v < 0 ? 0 : static_cast<uint64_t>(v);
+  // Every reference beyond the entry's own is a live FileRef (a reader, a
+  // ready fetch handle, a fetch still handing its bytes over).
+  uint64_t refs = 0;
+  for (size_t i = 0; i < kNumShards; ++i) {
+    std::lock_guard<std::mutex> lock(shards_[i].mu);
+    for (const auto& [key, e] : shards_[i].entries) {
+      refs += static_cast<uint64_t>(e.data.use_count() - 1);
+    }
+  }
+  return refs;
 }
 
 CacheStats FileCache::stats() const {

@@ -106,10 +106,12 @@ struct CacheStats {
 ///    concurrent hits on different files never serialize on one mutex.
 ///  - Singleflight: N concurrent misses on one key issue ONE shared
 ///    storage fetch; the rest wait for it and share the result.
-///  - Pinning: FetchRef() returns shared bytes and pins the entry
-///    resident until every ref is released, so eviction can never yank a
-///    file out from under an in-progress scan. Entry data is refcounted,
-///    so even Drop/Clear cannot dangle a live reader.
+///  - Pinning: FetchRef() returns the entry's own shared bytes, and the
+///    pin IS the refcount — eviction skips any entry whose bytes are
+///    shared beyond the cache's reference, so it can never yank a file
+///    out from under an in-progress scan, and a hit allocates nothing.
+///    Drop/Clear only release the cache's reference, so they cannot
+///    dangle a live reader either.
 ///
 /// LRU semantics are byte-for-byte those of the classic single-list
 /// implementation: every access takes a globally unique recency stamp
@@ -126,8 +128,9 @@ class FileCache : public FileFetcher {
   /// recency; miss reads shared storage and (policy permitting) inserts.
   Result<std::string> Fetch(const std::string& key) override;
 
-  /// Zero-copy fetch: shares the cached bytes and pins the entry resident
-  /// until the returned ref is released. The scan path uses this.
+  /// Zero-copy fetch: shares the cached bytes, which pins the entry
+  /// resident until the returned ref (and every copy) is released. The
+  /// scan path uses this.
   Result<FileRef> FetchRef(const std::string& key) override;
 
   /// Non-blocking FetchRef. A resident entry completes immediately on the
@@ -204,7 +207,8 @@ class FileCache : public FileFetcher {
   uint64_t max_inflight_prefetch_bytes() const {
     return max_inflight_prefetch_bytes_;
   }
-  /// Live FetchRef pin handles (a file pinned twice counts twice).
+  /// Live references to resident entries beyond the cache's own (a file
+  /// held by two refs counts twice). Summed from the refcounts when read.
   uint64_t pinned_refs() const;
   /// Thin view over the registry instruments (see CacheStats).
   CacheStats stats() const;
@@ -214,6 +218,8 @@ class FileCache : public FileFetcher {
 
  private:
   struct Entry {
+    /// The cache's reference to the bytes; use_count() > 1 means a live
+    /// FileRef pins the entry resident.
     std::shared_ptr<const std::string> data;
     bool policy_pinned = false;  ///< CachePolicy::kPin residency pin.
     /// Inserted by a prefetch and not yet read by any demand fetch.
@@ -221,8 +227,6 @@ class FileCache : public FileFetcher {
     /// are evicted before ANY demand-inserted entry, and evicting or
     /// dropping one counts as prefetch_wasted.
     bool prefetched = false;
-    int ref_pins = 0;            ///< Live FetchRef handles.
-    uint64_t gen = 0;            ///< Incarnation; guards stale unpins.
     uint64_t last_access = 0;    ///< Global recency stamp (bigger = newer).
   };
 
@@ -261,11 +265,7 @@ class FileCache : public FileFetcher {
   /// cache lock: the DC ring mutex is a strict leaf.
   void RecordDcEvent(obs::DcCacheEvent::Kind kind, const std::string& key,
                      uint64_t bytes);
-  /// Wrap entry bytes in a ref whose release unpins the entry.
-  FileRef MakePinnedRef(const std::string& key, const Entry& entry);
-  void ReleasePin(const std::string& key, uint64_t gen);
-  Result<FileRef> FetchShared(const std::string& key, bool allow_insert,
-                              bool pin);
+  Result<FileRef> FetchShared(const std::string& key, bool allow_insert);
   /// A demand access touched `entry`: clear the speculative flag and
   /// credit the prefetch as useful. Call under the entry's shard lock.
   void MarkDemandRead(Entry* entry);
@@ -316,7 +316,6 @@ class FileCache : public FileFetcher {
     obs::Counter* prefetch_rejected = nullptr;
     obs::Gauge* size_bytes = nullptr;
     obs::Gauge* files = nullptr;
-    obs::Gauge* pinned_refs = nullptr;
     obs::Gauge* prefetch_inflight_bytes = nullptr;
     /// Wall micros demand fetches spent blocked on a PendingFile.
     obs::Histogram* fetch_wait_micros = nullptr;

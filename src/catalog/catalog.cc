@@ -76,15 +76,28 @@ std::vector<const ProjectionDef*> CatalogState::ProjectionsOf(
   return out;
 }
 
+const CatalogState::ContainerIndex::Map& CatalogState::ContainerIndex::Get(
+    const CatalogState& state) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (map_ == nullptr) {
+    auto map = std::make_unique<Map>();
+    for (const auto& [oid, c] : state.containers) {
+      if (c.shard != kGlobalShard) {
+        (*map)[{c.projection_oid, c.shard}].push_back(&c);
+      }
+      (*map)[{c.projection_oid, kGlobalShard}].push_back(&c);
+    }
+    map_ = std::move(map);
+  }
+  return *map_;
+}
+
 std::vector<const StorageContainerMeta*> CatalogState::ContainersOf(
     Oid projection_oid, ShardId shard) const {
-  std::vector<const StorageContainerMeta*> out;
-  for (const auto& [oid, c] : containers) {
-    if (c.projection_oid != projection_oid) continue;
-    if (shard != kGlobalShard && c.shard != shard) continue;
-    out.push_back(&c);
-  }
-  return out;
+  const ContainerIndex::Map& index = container_index_.Get(*this);
+  auto it = index.find({projection_oid, shard});
+  if (it == index.end()) return {};
+  return it->second;
 }
 
 std::vector<const DeleteVectorMeta*> CatalogState::DeleteVectorsOf(

@@ -72,7 +72,10 @@ struct CatalogState {
   const TableDef* FindTable(Oid oid) const;
   const ProjectionDef* FindProjection(Oid oid) const;
   std::vector<const ProjectionDef*> ProjectionsOf(Oid table_oid) const;
-  /// Containers of a projection, optionally restricted to one shard.
+  /// Containers of a projection, optionally restricted to one shard, in
+  /// oid order. O(result): served from a per-(projection, shard) index
+  /// built on the first call, so call it only on a state that is no
+  /// longer mutated (a published snapshot).
   std::vector<const StorageContainerMeta*> ContainersOf(
       Oid projection_oid, ShardId shard = kGlobalShard) const;
   std::vector<const DeleteVectorMeta*> DeleteVectorsOf(
@@ -83,6 +86,31 @@ struct CatalogState {
       ShardId shard, const std::set<SubscriptionState>& states) const;
   /// Modification version of an object (0 if never modified).
   uint64_t ModVersion(Oid oid) const;
+
+ private:
+  /// ContainersOf's index: (projection, shard) -> containers in oid
+  /// order, with shard kGlobalShard listing all of a projection's. Not
+  /// part of the state: a copy or assignment starts without one, since a
+  /// copied state is about to be mutated into the next version.
+  class ContainerIndex {
+   public:
+    using Map = std::map<std::pair<Oid, ShardId>,
+                         std::vector<const StorageContainerMeta*>>;
+    ContainerIndex() = default;
+    ContainerIndex(const ContainerIndex&) {}
+    ContainerIndex& operator=(const ContainerIndex&) {
+      std::lock_guard<std::mutex> lock(mu_);
+      map_.reset();
+      return *this;
+    }
+    /// The index of `state`, built on first use.
+    const Map& Get(const CatalogState& state) const;
+
+   private:
+    mutable std::mutex mu_;
+    mutable std::unique_ptr<const Map> map_;
+  };
+  ContainerIndex container_index_;
 };
 
 /// A transaction under construction: a list of ops plus the OCC write-set

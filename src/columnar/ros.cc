@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <map>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <utility>
@@ -70,12 +70,11 @@ struct PendingFile::State {
 
 PendingFile PendingFile::MakeReady(Result<FileRef> result) {
   PendingFile pf;
-  pf.state_ = std::make_shared<State>();
-  pf.state_->done = true;
+  pf.ready_ = true;
   if (result.ok()) {
-    pf.state_->ref = std::move(result).value();
+    pf.ready_ref_ = std::move(result).value();
   } else {
-    pf.state_->status = result.status();
+    pf.ready_status_ = result.status();
   }
   return pf;
 }
@@ -101,6 +100,13 @@ void PendingFile::Complete(Result<FileRef> result) {
 }
 
 Result<FileRef> PendingFile::Wait(int64_t* wait_micros) {
+  if (ready_) {
+    if (!ready_status_.ok()) return ready_status_;
+    if (ready_ref_ == nullptr) {
+      return Status::Internal("ready PendingFile waited on twice");
+    }
+    return std::move(ready_ref_);
+  }
   std::unique_lock<std::mutex> lock(state_->mu);
   if (!state_->done) {
     const auto start = std::chrono::steady_clock::now();
@@ -131,9 +137,13 @@ Result<std::string> DirectFetcher::Fetch(const std::string& key) {
   return store_->Get(key);
 }
 
-std::string RosContainerWriter::ColumnKey(const std::string& base_key,
+std::string RosContainerWriter::ColumnKey(std::string_view base_key,
                                           size_t col) {
-  return base_key + "_c" + std::to_string(col);
+  const std::string suffix = std::to_string(col);
+  std::string key;
+  key.reserve(base_key.size() + 2 + suffix.size());
+  key.append(base_key).append("_c").append(suffix);
+  return key;
 }
 
 Result<RosBuildResult> RosContainerWriter::Build(
@@ -319,37 +329,134 @@ const char* ScanModeName(ScanMode mode) {
 
 namespace {
 
-/// Fetch every column in `cols` as ONE async batch — the store round
-/// trips overlap instead of serializing K first-byte latencies — then
-/// open a reader per file as each fetch completes (completion order is
-/// consumed in ascending column order; a fetch that finished early waits
-/// zero). Blocked wall time lands in st->fetch_wait_micros.
-Status FetchColumnsAsync(const Schema& schema, const std::string& base_key,
-                         FileFetcher* fetcher, const std::set<size_t>& cols,
-                         std::map<size_t, ColumnFileReader>* readers,
-                         RosScanStats* st) {
-  std::vector<std::pair<size_t, PendingFile>> pending;
-  pending.reserve(cols.size());
-  for (size_t col : cols) {
-    pending.emplace_back(col, fetcher->FetchRefAsync(
-                                  RosContainerWriter::ColumnKey(base_key, col)));
-  }
-  for (auto& [col, pf] : pending) {
-    EON_ASSIGN_OR_RETURN(FileRef data,
-                         pf.Wait(st ? &st->fetch_wait_micros : nullptr));
-    if (st != nullptr) {
-      st->files_fetched++;
-      st->bytes_fetched += data->size();
+/// Column plan of one pack scan, computed once per ScanRosPack call and
+/// shared by every container of the pack.
+struct ScanPlan {
+  std::vector<size_t> pred;          ///< Distinct predicate columns, ascending.
+  std::vector<size_t> out_distinct;  ///< Distinct output columns, ascending.
+  /// Column files read per container, in reader-slot order. Late
+  /// materialization: `pred` (phase 1), then the output-only columns
+  /// (phase 2). Eager: every needed column, ascending.
+  std::vector<size_t> fetch;
+  /// Leading `fetch` entries issued in the first batch (all of them on
+  /// the eager path).
+  size_t phase1_files = 0;
+  std::vector<int> slot;  ///< Column -> index into `fetch`; -1 = not read.
+  /// output_columns[k] -> index into `out_distinct`.
+  std::vector<size_t> out_pos;
+  bool late_mat = false;
+};
+
+Result<ScanPlan> PlanScan(const Schema& schema, const RosScanOptions& options) {
+  ScanPlan plan;
+  if (options.predicate) {
+    // Taken from the caller's precomputed split when provided, otherwise
+    // collected from the predicate tree.
+    std::set<size_t> cols;
+    if (!options.predicate_columns.empty()) {
+      cols.insert(options.predicate_columns.begin(),
+                  options.predicate_columns.end());
+    } else {
+      options.predicate->CollectColumns(&cols);
     }
+    plan.pred.assign(cols.begin(), cols.end());
+  }
+  plan.out_distinct = options.output_columns;
+  std::sort(plan.out_distinct.begin(), plan.out_distinct.end());
+  plan.out_distinct.erase(
+      std::unique(plan.out_distinct.begin(), plan.out_distinct.end()),
+      plan.out_distinct.end());
+  for (const std::vector<size_t>* cols : {&plan.pred, &plan.out_distinct}) {
+    for (size_t col : *cols) {
+      if (col >= schema.num_columns()) {
+        return Status::InvalidArgument("column index out of range");
+      }
+    }
+  }
+
+  plan.late_mat = options.late_mat && options.block_eval &&
+                  options.predicate != nullptr && !plan.pred.empty();
+  if (plan.late_mat) {
+    plan.fetch = plan.pred;
+    plan.phase1_files = plan.fetch.size();
+    for (size_t col : plan.out_distinct) {
+      if (!std::binary_search(plan.pred.begin(), plan.pred.end(), col)) {
+        plan.fetch.push_back(col);
+      }
+    }
+  } else {
+    std::set_union(plan.pred.begin(), plan.pred.end(),
+                   plan.out_distinct.begin(), plan.out_distinct.end(),
+                   std::back_inserter(plan.fetch));
+    plan.phase1_files = plan.fetch.size();
+  }
+  plan.slot.assign(schema.num_columns(), -1);
+  for (size_t i = 0; i < plan.fetch.size(); ++i) {
+    plan.slot[plan.fetch[i]] = static_cast<int>(i);
+  }
+  plan.out_pos.reserve(options.output_columns.size());
+  for (size_t col : options.output_columns) {
+    plan.out_pos.push_back(static_cast<size_t>(
+        std::lower_bound(plan.out_distinct.begin(), plan.out_distinct.end(),
+                         col) -
+        plan.out_distinct.begin()));
+  }
+  return plan;
+}
+
+/// Phase-1 result for one block with at least one surviving row.
+struct Survivor {
+  size_t block = 0;
+  uint64_t selected = 0;
+  SelectionVector sel;
+  /// Phase-1 fallback decodes of predicate∩output columns; compacted in
+  /// phase 2 without a second decode.
+  std::vector<std::pair<size_t, ColumnBatch>> phase1;
+};
+
+/// One container's progress through a pack scan.
+struct ContainerScan {
+  std::vector<PendingFile> pending;       ///< Issued, not yet opened.
+  std::vector<ColumnFileReader> readers;  ///< Reader slot order.
+  std::vector<Survivor> survivors;
+};
+
+/// Start async fetches of plan.fetch[begin, end) for one container.
+void IssueFetches(const ScanPlan& plan, size_t begin, size_t end,
+                  std::string_view base_key, FileFetcher* fetcher,
+                  ContainerScan* cs) {
+  for (size_t i = begin; i < end; ++i) {
+    cs->pending.push_back(fetcher->FetchRefAsync(
+        RosContainerWriter::ColumnKey(base_key, plan.fetch[i])));
+  }
+}
+
+/// Wait for a container's issued fetches in slot order (a fetch that
+/// finished early waits zero), open a reader per file, and verify every
+/// file agrees with the first on block layout. Blocked wall time lands in
+/// st->fetch_wait_micros.
+Status OpenFetched(const Schema& schema, const ScanPlan& plan,
+                   ContainerScan* cs, RosScanStats* st) {
+  for (PendingFile& pf : cs->pending) {
+    const size_t col = plan.fetch[cs->readers.size()];
+    EON_ASSIGN_OR_RETURN(FileRef data, pf.Wait(&st->fetch_wait_micros));
+    st->files_fetched++;
+    st->bytes_fetched += data->size();
     EON_ASSIGN_OR_RETURN(
         ColumnFileReader reader,
         ColumnFileReader::Open(std::move(data), schema.column(col).type));
-    readers->emplace(col, std::move(reader));
+    if (!cs->readers.empty() &&
+        (reader.num_blocks() != cs->readers[0].num_blocks() ||
+         reader.row_count() != cs->readers[0].row_count())) {
+      return Status::Corruption("column files disagree on block layout");
+    }
+    cs->readers.push_back(std::move(reader));
   }
+  cs->pending.clear();
   return Status::OK();
 }
 
-/// EncodedBlockSource over one block of the fetched predicate-column
+/// EncodedBlockSource over one block of a container's predicate-column
 /// readers: comparison leaves evaluate directly on the encoded chunk (per
 /// RLE run / per dictionary entry) when possible, with a lazily decoded,
 /// per-block-cached fallback for plain and delta columns. Decode or CRC
@@ -357,10 +464,18 @@ Status FetchColumnsAsync(const Schema& schema, const std::string& base_key,
 /// latched in status() — check it after every EvalBlockEncoded.
 class BlockPredicateSource : public EncodedBlockSource {
  public:
-  /// `st` (nullable) receives decode/unpack/kernel accounting.
-  BlockPredicateSource(const std::map<size_t, ColumnFileReader>& readers,
-                       RosScanStats* st)
-      : readers_(readers), st_(st) {}
+  /// `st` receives decode/unpack/kernel accounting.
+  BlockPredicateSource(const ScanPlan& plan, RosScanStats* st)
+      : plan_(plan), st_(st) {
+    // At most one entry per predicate column per block: reserving keeps
+    // the pointers DecodedColumn hands out stable.
+    chunks_.reserve(plan.phase1_files);
+    decoded_.reserve(plan.phase1_files);
+  }
+
+  void SetReaders(const std::vector<ColumnFileReader>* readers) {
+    readers_ = readers;
+  }
 
   void SetBlock(size_t block, uint64_t row_count) {
     block_ = block;
@@ -371,23 +486,18 @@ class BlockPredicateSource : public EncodedBlockSource {
 
   bool TryEvalCmpEncoded(size_t col, CmpOp op, const Value& literal,
                          uint8_t* sel) override {
-    auto it = status_.ok() ? readers_.find(col) : readers_.end();
-    if (it == readers_.end()) {
+    const ColumnFileReader* reader = status_.ok() ? Reader(col) : nullptr;
+    const ChunkView* view = reader ? Chunk(col, *reader) : nullptr;
+    if (view == nullptr) {
       // Unfetched column (or latched error): no row matches, same as
       // EvalBlock's missing-column rule.
       std::fill(sel, sel + row_count_, uint8_t{0});
       return true;
     }
-    const ChunkView* view = Chunk(col, it->second);
-    if (view == nullptr) {
-      std::fill(sel, sel + row_count_, uint8_t{0});
-      return true;
-    }
-    Result<bool> handled = EvalChunkCmp(
-        *view, it->second.type(), op, literal, sel,
-        st_ ? &st_->values_decoded : nullptr,
-        st_ ? &st_->values_unpacked : nullptr,
-        st_ ? &st_->kernel_calls : nullptr);
+    Result<bool> handled =
+        EvalChunkCmp(*view, reader->type(), op, literal, sel,
+                     &st_->values_decoded, &st_->values_unpacked,
+                     &st_->kernel_calls);
     if (!handled.ok()) {
       status_ = handled.status();
       std::fill(sel, sel + row_count_, uint8_t{0});
@@ -398,163 +508,121 @@ class BlockPredicateSource : public EncodedBlockSource {
 
   const ColumnBatch* DecodedColumn(size_t col) override {
     if (!status_.ok()) return nullptr;
-    auto cached = decoded_.find(col);
-    if (cached != decoded_.end()) return &cached->second;
-    auto it = readers_.find(col);
-    if (it == readers_.end()) return nullptr;
+    for (auto& [c, batch] : decoded_) {
+      if (c == col) return &batch;
+    }
+    const ColumnFileReader* reader = Reader(col);
+    if (reader == nullptr) return nullptr;
     ColumnBatch batch;
-    Status s = it->second.DecodeBlockBatch(
-        block_, &batch, st_ ? &st_->values_unpacked : nullptr);
+    Status s = reader->DecodeBlockBatch(block_, &batch, &st_->values_unpacked);
     if (!s.ok()) {
       status_ = s;
       return nullptr;
     }
-    if (st_ != nullptr) st_->values_decoded += batch.size();
-    return &decoded_.emplace(col, std::move(batch)).first->second;
+    st_->values_decoded += batch.size();
+    decoded_.emplace_back(col, std::move(batch));
+    return &decoded_.back().second;
   }
 
   /// Move out the fallback-decoded column of the current block, if phase 1
   /// produced one — lets the scan keep predicate∩output columns for
-  /// phase 2 without paying for a second decode. Consumes the cache entry
-  /// (the next SetBlock would clear it anyway).
+  /// phase 2 without paying for a second decode. The next SetBlock drops
+  /// the (moved-from) entry.
   bool TakeDecoded(size_t col, ColumnBatch* out) {
-    auto it = decoded_.find(col);
-    if (it == decoded_.end()) return false;
-    *out = std::move(it->second);
-    decoded_.erase(it);
-    return true;
+    for (auto& [c, batch] : decoded_) {
+      if (c != col) continue;
+      *out = std::move(batch);
+      return true;
+    }
+    return false;
   }
 
   const Status& status() const { return status_; }
 
  private:
+  const ColumnFileReader* Reader(size_t col) const {
+    const int s = col < plan_.slot.size() ? plan_.slot[col] : -1;
+    if (s < 0 || static_cast<size_t>(s) >= readers_->size()) return nullptr;
+    return &(*readers_)[s];
+  }
+
   const ChunkView* Chunk(size_t col, const ColumnFileReader& reader) {
-    auto it = chunks_.find(col);
-    if (it != chunks_.end()) return &it->second;
+    for (const auto& [c, view] : chunks_) {
+      if (c == col) return &view;
+    }
     Result<ChunkView> view = reader.BlockChunk(block_);
     if (!view.ok()) {
       status_ = view.status();
       return nullptr;
     }
-    return &chunks_.emplace(col, view.value()).first->second;
+    chunks_.emplace_back(col, view.value());
+    return &chunks_.back().second;
   }
 
-  const std::map<size_t, ColumnFileReader>& readers_;
+  const ScanPlan& plan_;
   RosScanStats* st_;
+  const std::vector<ColumnFileReader>* readers_ = nullptr;
   size_t block_ = 0;
   uint64_t row_count_ = 0;
-  std::map<size_t, ChunkView> chunks_;
-  std::map<size_t, ColumnBatch> decoded_;
+  std::vector<std::pair<size_t, ChunkView>> chunks_;
+  std::vector<std::pair<size_t, ColumnBatch>> decoded_;
   Status status_;
 };
 
-/// Two-phase late-materialization scan. Phase 1 fetches only the predicate
-/// columns (one async batch) and evaluates the predicate per block — on
-/// the encoded representation where the encoding supports it — folding the
-/// row range and tombstones into one selection vector. Phase 2 selectively
-/// decodes the output columns for surviving rows; output-only column files
-/// are fetched lazily AND asynchronously: the fetch is issued at the first
-/// surviving block and overlaps with the remaining phase-1 work, and a
-/// container where nothing survives never fetches them at all.
-Result<std::vector<Row>> ScanLateMaterialized(const Schema& schema,
-                                              const std::string& base_key,
-                                              FileFetcher* fetcher,
-                                              const RosScanOptions& options,
-                                              const std::set<size_t>& pred_cols,
-                                              RosScanStats* st) {
-  std::map<size_t, ColumnFileReader> readers;
-  EON_RETURN_IF_ERROR(
-      FetchColumnsAsync(schema, base_key, fetcher, pred_cols, &readers, st));
-
-  const ColumnFileReader& first = readers.begin()->second;
-  const size_t num_blocks = first.num_blocks();
-  for (const auto& [col, r] : readers) {
-    if (r.num_blocks() != num_blocks || r.row_count() != first.row_count()) {
-      return Status::Corruption("column files disagree on block layout");
-    }
-  }
-
-  // Output-only columns (not referenced by the predicate), fetched lazily
-  // on the first block with survivors.
-  const std::set<size_t> out_distinct(options.output_columns.begin(),
-                                      options.output_columns.end());
-  std::set<size_t> out_only;
-  for (size_t col : out_distinct) {
-    if (pred_cols.count(col) == 0) out_only.insert(col);
-  }
-
-  // Phase 1 runs over ALL blocks first, buffering each survivor's
-  // selection (plus any column phase 1 already decoded), so the
-  // output-only fetch issued at the first survivor overlaps with the
-  // remaining predicate work — the scan only Waits once phase 2 begins.
-  struct Survivor {
-    size_t block = 0;
-    uint64_t selected = 0;
-    SelectionVector sel;
-    /// Phase-1 fallback decodes of predicate∩output columns; compacted in
-    /// phase 2 without a second decode.
-    std::map<size_t, ColumnBatch> phase1;
-  };
-  std::vector<Survivor> survivors;
-  std::vector<std::pair<size_t, PendingFile>> out_pending;
-  bool outputs_requested = false;
-  auto request_outputs = [&]() {
-    if (outputs_requested) return;
-    outputs_requested = true;
-    out_pending.reserve(out_only.size());
-    for (size_t col : out_only) {
-      out_pending.emplace_back(
-          col,
-          fetcher->FetchRefAsync(RosContainerWriter::ColumnKey(base_key, col)));
-    }
-  };
-
-  std::vector<Row> out;
-  BlockPredicateSource src(readers, st);
-  for (size_t b = 0; b < num_blocks; ++b) {
+/// Late-materialization phase 1 over one container whose predicate
+/// readers are open: evaluate the predicate per block — on the encoded
+/// representation where the encoding supports it — folding the row range
+/// and tombstones into one selection vector, and buffer every block with
+/// survivors (plus any column phase 1 already decoded) for phase 2.
+Status EvalPhase1(const RosScanOptions& options, const ScanPlan& plan,
+                  const RosScanTarget& target, BlockPredicateSource* src,
+                  std::vector<ValueRange>* ranges, ContainerScan* cs,
+                  RosScanStats* st) {
+  const ColumnFileReader& first = cs->readers[0];
+  src->SetReaders(&cs->readers);
+  for (size_t b = 0; b < first.num_blocks(); ++b) {
     const BlockMeta& bm = first.block(b);
     st->blocks_total++;
 
     const uint64_t block_begin = bm.first_row;
     const uint64_t block_end = bm.first_row + bm.row_count;
-    if (block_end <= options.row_begin || block_begin >= options.row_end) {
+    if (block_end <= target.row_begin || block_begin >= target.row_end) {
       st->blocks_pruned++;
       continue;
     }
 
-    {
-      // CouldMatch only inspects predicate-referenced columns, so
-      // predicate-only ranges prune exactly like the eager path's full
-      // range set.
-      std::vector<ValueRange> ranges(schema.num_columns());
-      for (size_t col : pred_cols) ranges[col] = readers.at(col).block(b).range;
-      if (!options.predicate->CouldMatch(ranges)) {
-        st->blocks_pruned++;
-        continue;
-      }
+    // CouldMatch only inspects predicate-referenced columns, so
+    // predicate-only ranges prune exactly like the eager path's full
+    // range set.
+    for (size_t i = 0; i < plan.pred.size(); ++i) {
+      (*ranges)[plan.pred[i]] = cs->readers[i].block(b).range;
+    }
+    if (!options.predicate->CouldMatch(*ranges)) {
+      st->blocks_pruned++;
+      continue;
     }
 
-    // Phase 1: encoded predicate evaluation, then fold the row range and
+    // Encoded predicate evaluation, then fold the row range and
     // tombstones into the selection vector.
-    src.SetBlock(b, bm.row_count);
+    src->SetBlock(b, bm.row_count);
     SelectionVector sel;
-    options.predicate->EvalBlockEncoded(&src, bm.row_count, &sel,
+    options.predicate->EvalBlockEncoded(src, bm.row_count, &sel,
                                         &st->kernel_calls);
-    EON_RETURN_IF_ERROR(src.status());
+    EON_RETURN_IF_ERROR(src->status());
     uint64_t selected = 0;
-    if (options.deletes == nullptr && options.row_begin <= block_begin &&
-        block_end <= options.row_end) {
+    if (target.deletes == nullptr && target.row_begin <= block_begin &&
+        block_end <= target.row_end) {
       st->rows_visited += bm.row_count;
       for (uint64_t i = 0; i < bm.row_count; ++i) selected += sel[i] != 0;
     } else {
       for (uint64_t i = 0; i < bm.row_count; ++i) {
         const uint64_t pos = block_begin + i;
-        if (pos < options.row_begin || pos >= options.row_end) {
+        if (pos < target.row_begin || pos >= target.row_end) {
           sel[i] = 0;
           continue;
         }
         st->rows_visited++;
-        if (options.deletes && options.deletes->IsDeleted(pos)) {
+        if (target.deletes && target.deletes->IsDeleted(pos)) {
           sel[i] = 0;
           continue;
         }
@@ -563,262 +631,265 @@ Result<std::vector<Row>> ScanLateMaterialized(const Schema& schema,
     }
     if (selected == 0) continue;
 
-    request_outputs();
     Survivor sv;
     sv.block = b;
     sv.selected = selected;
-    for (size_t col : out_distinct) {
-      if (pred_cols.count(col) == 0) continue;
+    for (size_t col : plan.out_distinct) {
+      if (plan.slot[col] >= static_cast<int>(plan.phase1_files)) continue;
       ColumnBatch vals;
-      if (src.TakeDecoded(col, &vals)) sv.phase1.emplace(col, std::move(vals));
+      if (src->TakeDecoded(col, &vals)) {
+        sv.phase1.emplace_back(col, std::move(vals));
+      }
     }
     sv.sel = std::move(sel);
-    survivors.push_back(std::move(sv));
+    cs->survivors.push_back(std::move(sv));
   }
-  if (!outputs_requested) {
-    st->files_skipped += out_only.size();
-    return out;
-  }
+  return Status::OK();
+}
 
-  // Wait for the output-only files — much of their store latency has
-  // already been hidden behind the phase-1 work above — and verify they
-  // agree with the predicate columns on the block layout.
-  for (auto& [col, pf] : out_pending) {
-    EON_ASSIGN_OR_RETURN(FileRef data, pf.Wait(&st->fetch_wait_micros));
-    st->files_fetched++;
-    st->bytes_fetched += data->size();
-    EON_ASSIGN_OR_RETURN(
-        ColumnFileReader reader,
-        ColumnFileReader::Open(std::move(data), schema.column(col).type));
-    if (reader.num_blocks() != num_blocks ||
-        reader.row_count() != first.row_count()) {
-      return Status::Corruption("column files disagree on block layout");
-    }
-    readers.emplace(col, std::move(reader));
-  }
-
-  // Phase 2, in block order (byte-identical to the fused single-pass
-  // loop): selectively decode each distinct output column. All share the
-  // block's selection vector, so the k-th entry of every dense vector
-  // belongs to the k-th surviving row.
-  for (Survivor& sv : survivors) {
+/// Late-materialization phase 2 over one container whose output readers
+/// are open: selectively decode each distinct output column of every
+/// surviving block, in block order (byte-identical to a fused single-pass
+/// loop). All columns share the block's selection vector, so the k-th
+/// entry of every dense vector belongs to the k-th surviving row.
+Status MaterializeSurvivors(const ScanPlan& plan, const RosScanTarget& target,
+                            ContainerScan* cs,
+                            std::vector<std::vector<Value>>* dense,
+                            RosScanStats* st) {
+  const ColumnFileReader& first = cs->readers[0];
+  for (Survivor& sv : cs->survivors) {
     const BlockMeta& bm = first.block(sv.block);
-    std::map<size_t, std::vector<Value>> dense;
-    for (size_t col : out_distinct) {
-      std::vector<Value> vals;
+    if (target.positions != nullptr) {
+      for (uint64_t i = 0; i < bm.row_count; ++i) {
+        if (sv.sel[i]) target.positions->push_back(bm.first_row + i);
+      }
+    }
+    st->rows_output += sv.selected;
+    if (target.rows == nullptr) continue;
+    for (size_t d = 0; d < plan.out_distinct.size(); ++d) {
+      const size_t col = plan.out_distinct[d];
+      std::vector<Value>& vals = (*dense)[d];
+      vals.clear();
       vals.reserve(sv.selected);
-      auto p1 = sv.phase1.find(col);
-      if (p1 != sv.phase1.end()) {
-        const ColumnBatch& full = p1->second;
+      const ColumnBatch* full = nullptr;
+      for (const auto& [c, batch] : sv.phase1) {
+        if (c == col) full = &batch;
+      }
+      if (full != nullptr) {
         for (uint64_t i = 0; i < bm.row_count; ++i) {
-          if (sv.sel[i]) vals.push_back(full.GetValue(i));
+          if (sv.sel[i]) vals.push_back(full->GetValue(i));
         }
       } else {
-        EON_RETURN_IF_ERROR(readers.at(col).DecodeSelected(
+        EON_RETURN_IF_ERROR(cs->readers[plan.slot[col]].DecodeSelected(
             sv.block, sv.sel.data(), &vals, &st->values_decoded,
             &st->values_unpacked));
       }
       if (vals.size() != sv.selected) {
         return Status::Corruption("selective decode count mismatch");
       }
-      dense.emplace(col, std::move(vals));
-    }
-    // Output columns in output order, resolved once per block.
-    std::vector<const std::vector<Value>*> out_cols;
-    out_cols.reserve(options.output_columns.size());
-    for (size_t col : options.output_columns) {
-      out_cols.push_back(&dense.at(col));
     }
     for (uint64_t k = 0; k < sv.selected; ++k) {
       Row out_row;
-      out_row.reserve(out_cols.size());
-      for (const std::vector<Value>* values : out_cols) {
-        out_row.push_back((*values)[k]);
-      }
-      out.push_back(std::move(out_row));
-      st->rows_output++;
+      out_row.reserve(plan.out_pos.size());
+      for (size_t p : plan.out_pos) out_row.push_back((*dense)[p][k]);
+      target.rows->push_back(std::move(out_row));
     }
   }
-  return out;
+  return Status::OK();
 }
 
-}  // namespace
+/// Reusable per-call buffers of the eager pipelines.
+struct EagerBuffers {
+  std::vector<ColumnBatch> cols;             ///< Reader slot order.
+  std::vector<const ColumnBatch*> by_column;  ///< Projection position.
+  Row probe;                                  ///< Row-wise reference path.
+};
 
-Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
-                                          const std::string& base_key,
-                                          FileFetcher* fetcher,
-                                          const RosScanOptions& options,
-                                          RosScanStats* stats) {
-  RosScanStats local_stats;
-  RosScanStats* st = stats ? stats : &local_stats;
-
-  // Predicate input columns: taken from the caller's precomputed split
-  // when provided, otherwise collected from the predicate tree.
-  std::set<size_t> pred_cols;
-  if (options.predicate) {
-    if (!options.predicate_columns.empty()) {
-      pred_cols.insert(options.predicate_columns.begin(),
-                       options.predicate_columns.end());
-    } else {
-      options.predicate->CollectColumns(&pred_cols);
-    }
-  }
-
-  // Columns we must fetch: outputs plus predicate inputs.
-  std::set<size_t> needed(options.output_columns.begin(),
-                          options.output_columns.end());
-  needed.insert(pred_cols.begin(), pred_cols.end());
-  for (size_t col : needed) {
-    if (col >= schema.num_columns()) {
-      return Status::InvalidArgument("column index out of range");
-    }
-  }
-
-  if (options.late_mat && options.block_eval && options.predicate != nullptr &&
-      !pred_cols.empty()) {
-    return ScanLateMaterialized(schema, base_key, fetcher, options, pred_cols,
-                                st);
-  }
-
-  // Fetch (one async batch) and open each needed column file. The refs
-  // pin cache-backed files resident (and share their bytes) for the
-  // readers' lifetime.
-  std::map<size_t, ColumnFileReader> readers;
-  EON_RETURN_IF_ERROR(
-      FetchColumnsAsync(schema, base_key, fetcher, needed, &readers, st));
-
-  std::vector<Row> out;
-  if (needed.empty()) return out;  // Degenerate: no columns requested.
-
-  const ColumnFileReader& first = readers.begin()->second;
-  const size_t num_blocks = first.num_blocks();
-  // Blocks are aligned across columns by construction; verify.
-  for (const auto& [col, r] : readers) {
-    if (r.num_blocks() != num_blocks || r.row_count() != first.row_count()) {
-      return Status::Corruption("column files disagree on block layout");
-    }
-  }
-
-  for (size_t b = 0; b < num_blocks; ++b) {
+/// Eager scan of one container whose readers are all open: decode every
+/// fetched column per block straight into columnar batch layout, then
+/// filter by the block-at-a-time kernels (or the row-wise reference Eval)
+/// and materialize survivors.
+Status ScanEager(const RosScanOptions& options, const ScanPlan& plan,
+                 const RosScanTarget& target, std::vector<ValueRange>* ranges,
+                 ContainerScan* cs, EagerBuffers* buf, RosScanStats* st) {
+  if (cs->readers.empty()) return Status::OK();  // No columns requested.
+  const ColumnFileReader& first = cs->readers[0];
+  const bool use_sel = options.predicate != nullptr && options.block_eval;
+  SelectionVector sel;
+  for (size_t b = 0; b < first.num_blocks(); ++b) {
     const BlockMeta& bm = first.block(b);
     st->blocks_total++;
 
     // Row-range restriction (container split).
     const uint64_t block_begin = bm.first_row;
     const uint64_t block_end = bm.first_row + bm.row_count;
-    if (block_end <= options.row_begin || block_begin >= options.row_end) {
+    if (block_end <= target.row_begin || block_begin >= target.row_end) {
       st->blocks_pruned++;
       continue;
     }
 
     // Min/max pruning using every fetched column's stats for this block.
     if (options.predicate) {
-      std::vector<ValueRange> ranges(schema.num_columns());
-      for (const auto& [col, r] : readers) ranges[col] = r.block(b).range;
-      if (!options.predicate->CouldMatch(ranges)) {
+      for (size_t s = 0; s < plan.fetch.size(); ++s) {
+        (*ranges)[plan.fetch[s]] = cs->readers[s].block(b).range;
+      }
+      if (!options.predicate->CouldMatch(*ranges)) {
         st->blocks_pruned++;
         continue;
       }
     }
 
-    // Decode the block for each needed column, straight into columnar
-    // batch layout (typed arrays + validity bitmap).
-    std::map<size_t, ColumnBatch> cols;
-    for (const auto& [col, r] : readers) {
-      ColumnBatch batch;
-      EON_RETURN_IF_ERROR(
-          r.DecodeBlockBatch(b, &batch, &st->values_unpacked));
-      st->values_decoded += batch.size();
-      cols.emplace(col, std::move(batch));
+    for (size_t s = 0; s < plan.fetch.size(); ++s) {
+      EON_RETURN_IF_ERROR(cs->readers[s].DecodeBlockBatch(
+          b, &buf->cols[s], &st->values_unpacked));
+      st->values_decoded += buf->cols[s].size();
     }
 
     // Block-at-a-time predicate: one selection vector for the whole
     // block via the vectorized kernels, then only survivors are
     // materialized below.
-    SelectionVector sel;
-    const bool use_sel = options.predicate != nullptr && options.block_eval;
     if (use_sel) {
-      std::vector<const ColumnBatch*> col_ptrs(schema.num_columns(), nullptr);
-      for (const auto& [col, batch] : cols) col_ptrs[col] = &batch;
-      options.predicate->EvalBlockBatch(col_ptrs, bm.row_count, &sel,
+      options.predicate->EvalBlockBatch(buf->by_column, bm.row_count, &sel,
                                         &st->kernel_calls);
     }
 
-    // Output columns in output order, resolved once per block.
-    std::vector<const ColumnBatch*> out_cols;
-    out_cols.reserve(options.output_columns.size());
-    for (size_t col : options.output_columns) {
-      out_cols.push_back(&cols.at(col));
-    }
-
-    Row probe(schema.num_columns());  // Row-at-a-time reference path only.
     for (uint64_t i = 0; i < bm.row_count; ++i) {
       const uint64_t pos = block_begin + i;
-      if (pos < options.row_begin || pos >= options.row_end) continue;
+      if (pos < target.row_begin || pos >= target.row_end) continue;
       st->rows_visited++;
-      if (options.deletes && options.deletes->IsDeleted(pos)) continue;
+      if (target.deletes && target.deletes->IsDeleted(pos)) continue;
       if (use_sel) {
         if (!sel[i]) continue;
       } else if (options.predicate) {
-        for (const auto& [col, batch] : cols) probe[col] = batch.GetValue(i);
-        if (!options.predicate->Eval(probe)) continue;
+        for (size_t s = 0; s < plan.fetch.size(); ++s) {
+          buf->probe[plan.fetch[s]] = buf->cols[s].GetValue(i);
+        }
+        if (!options.predicate->Eval(buf->probe)) continue;
       }
-      Row out_row;
-      out_row.reserve(out_cols.size());
-      for (const ColumnBatch* batch : out_cols) {
-        out_row.push_back(batch->GetValue(i));
-      }
-      out.push_back(std::move(out_row));
       st->rows_output++;
+      if (target.positions != nullptr) target.positions->push_back(pos);
+      if (target.rows == nullptr) continue;
+      Row out_row;
+      out_row.reserve(options.output_columns.size());
+      for (size_t col : options.output_columns) {
+        out_row.push_back(buf->cols[plan.slot[col]].GetValue(i));
+      }
+      target.rows->push_back(std::move(out_row));
     }
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ScanRosPack(const Schema& schema,
+                   const std::vector<RosScanTarget>& pack,
+                   FileFetcher* fetcher, const RosScanOptions& options,
+                   RosScanStats* stats) {
+  RosScanStats local_stats;
+  RosScanStats* st = stats ? stats : &local_stats;
+  EON_ASSIGN_OR_RETURN(const ScanPlan plan, PlanScan(schema, options));
+
+  // Batch 1: the predicate-column files (every needed file on the eager
+  // path) of every container, so their store round trips overlap.
+  std::vector<ContainerScan> scans(pack.size());
+  for (size_t i = 0; i < pack.size(); ++i) {
+    scans[i].pending.reserve(plan.phase1_files);
+    IssueFetches(plan, 0, plan.phase1_files, pack[i].base_key, fetcher,
+                 &scans[i]);
+  }
+  // Only the entries of fetched columns are ever written; the rest stay
+  // invalid, which CouldMatch ignores.
+  std::vector<ValueRange> ranges(schema.num_columns());
+
+  if (!plan.late_mat) {
+    EagerBuffers buf;
+    buf.cols.resize(plan.fetch.size());
+    buf.by_column.assign(schema.num_columns(), nullptr);
+    for (size_t s = 0; s < plan.fetch.size(); ++s) {
+      buf.by_column[plan.fetch[s]] = &buf.cols[s];
+    }
+    if (options.predicate && !options.block_eval) {
+      buf.probe.resize(schema.num_columns());
+    }
+    for (size_t i = 0; i < pack.size(); ++i) {
+      EON_RETURN_IF_ERROR(OpenFetched(schema, plan, &scans[i], st));
+      EON_RETURN_IF_ERROR(
+          ScanEager(options, plan, pack[i], &ranges, &scans[i], &buf, st));
+      scans[i].readers.clear();
+    }
+    return Status::OK();
+  }
+
+  // Phase 1 over the whole pack.
+  BlockPredicateSource src(plan, st);
+  for (size_t i = 0; i < pack.size(); ++i) {
+    EON_RETURN_IF_ERROR(OpenFetched(schema, plan, &scans[i], st));
+    EON_RETURN_IF_ERROR(
+        EvalPhase1(options, plan, pack[i], &src, &ranges, &scans[i], st));
+  }
+
+  // Batch 2: the output-only files of every container with survivors; a
+  // container where nothing survived never fetches them.
+  const size_t out_only_files = plan.fetch.size() - plan.phase1_files;
+  for (size_t i = 0; i < pack.size(); ++i) {
+    if (scans[i].survivors.empty()) {
+      st->files_skipped += out_only_files;
+      continue;
+    }
+    if (pack[i].rows == nullptr) continue;  // Positions only.
+    IssueFetches(plan, plan.phase1_files, plan.fetch.size(), pack[i].base_key,
+                 fetcher, &scans[i]);
+  }
+
+  // Phase 2, container by container in pack order.
+  std::vector<std::vector<Value>> dense(plan.out_distinct.size());
+  for (size_t i = 0; i < pack.size(); ++i) {
+    if (scans[i].survivors.empty()) continue;
+    EON_RETURN_IF_ERROR(OpenFetched(schema, plan, &scans[i], st));
+    EON_RETURN_IF_ERROR(
+        MaterializeSurvivors(plan, pack[i], &scans[i], &dense, st));
+    scans[i] = ContainerScan();
+  }
+  return Status::OK();
+}
+
+Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
+                                          const std::string& base_key,
+                                          FileFetcher* fetcher,
+                                          const RosScanOptions& options,
+                                          RosScanStats* stats) {
+  std::vector<Row> out;
+  RosScanTarget target;
+  target.base_key = base_key;
+  target.deletes = options.deletes;
+  target.row_begin = options.row_begin;
+  target.row_end = options.row_end;
+  target.rows = &out;
+  EON_RETURN_IF_ERROR(ScanRosPack(schema, {target}, fetcher, options, stats));
   return out;
 }
 
 Result<std::vector<uint64_t>> FindMatchingPositions(
     const Schema& schema, const std::string& base_key, FileFetcher* fetcher,
     const PredicatePtr& predicate, const DeleteVector* deletes) {
-  std::set<size_t> needed;
-  if (predicate) predicate->CollectColumns(&needed);
-  if (needed.empty()) {
-    // Match-all: positions derive from any column's footer; fetch column 0.
-    needed.insert(0);
+  // Same phase-1 machinery as a query scan: the predicate evaluates on the
+  // encoded representation where possible, and no output column is ever
+  // decoded, so DELETEs never decode more than they must.
+  RosScanOptions scan;
+  scan.predicate = predicate;
+  std::set<size_t> pred_cols;
+  if (predicate) predicate->CollectColumns(&pred_cols);
+  if (pred_cols.empty()) {
+    // Match-all: positions derive from any column's layout; read column 0.
+    scan.output_columns = {0};
   }
-
-  for (size_t col : needed) {
-    if (col >= schema.num_columns()) {
-      return Status::InvalidArgument("column index out of range");
-    }
-  }
-  std::map<size_t, ColumnFileReader> readers;
-  EON_RETURN_IF_ERROR(FetchColumnsAsync(schema, base_key, fetcher, needed,
-                                        &readers, /*st=*/nullptr));
-
   std::vector<uint64_t> positions;
-  const ColumnFileReader& first = readers.begin()->second;
-  // Same phase-1 machinery as the late-materialization scan: the predicate
-  // evaluates on the encoded representation where possible, so DELETEs
-  // never decode more than they must.
-  BlockPredicateSource src(readers, /*st=*/nullptr);
-  SelectionVector sel;
-  for (size_t b = 0; b < first.num_blocks(); ++b) {
-    const BlockMeta& bm = first.block(b);
-    if (predicate) {
-      std::vector<ValueRange> ranges(schema.num_columns());
-      for (const auto& [col, r] : readers) ranges[col] = r.block(b).range;
-      if (!predicate->CouldMatch(ranges)) continue;
-      src.SetBlock(b, bm.row_count);
-      predicate->EvalBlockEncoded(&src, bm.row_count, &sel);
-      EON_RETURN_IF_ERROR(src.status());
-    } else {
-      sel.assign(bm.row_count, 1);
-    }
-    for (uint64_t i = 0; i < bm.row_count; ++i) {
-      const uint64_t pos = bm.first_row + i;
-      if (deletes && deletes->IsDeleted(pos)) continue;
-      if (sel[i]) positions.push_back(pos);
-    }
-  }
+  RosScanTarget target;
+  target.base_key = base_key;
+  target.deletes = deletes;
+  target.positions = &positions;
+  EON_RETURN_IF_ERROR(ScanRosPack(schema, {target}, fetcher, scan));
   return positions;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "columnar/delete_vector.h"
@@ -28,10 +29,11 @@ namespace obs {
 class Histogram;
 }  // namespace obs
 
-/// Future-like handle to one in-flight file fetch. Copyable; all copies
-/// share the same completion state. A PendingFile is either *ready*
-/// (carries the result already — the synchronous fallback) or *pending*
-/// (some I/O-pool task will Complete() it).
+/// Future-like handle to one in-flight file fetch. Copyable. A
+/// PendingFile is either *ready* (carries the result inline — the
+/// synchronous / cache-hit path, no shared state allocated) or *pending*
+/// (some I/O-pool task will Complete() it; all copies share the same
+/// completion state).
 class PendingFile {
  public:
   PendingFile() = default;
@@ -42,7 +44,7 @@ class PendingFile {
   /// observes the blocked wall-micros of every Wait() on this handle.
   static PendingFile MakePending(obs::Histogram* wait_hist = nullptr);
 
-  bool valid() const { return state_ != nullptr; }
+  bool valid() const { return ready_ || state_ != nullptr; }
 
   /// Producer side: publish the result and wake all waiters. Must be
   /// called exactly once per pending handle.
@@ -51,11 +53,16 @@ class PendingFile {
   /// Consumer side: block until complete, then return the result. The
   /// wall time spent blocked (zero when already complete) is added to
   /// `*wait_micros` when provided — the scan's fetch-stall accounting.
+  /// A ready handle hands its ref over (so it stops holding the file's
+  /// pin) and may be waited on once; a pending handle returns a copy.
   Result<FileRef> Wait(int64_t* wait_micros = nullptr);
 
  private:
   struct State;
   std::shared_ptr<State> state_;
+  bool ready_ = false;
+  Status ready_status_;
+  FileRef ready_ref_;
 };
 
 class FileFetcher {
@@ -131,7 +138,7 @@ class RosContainerWriter {
                                       const RosWriteOptions& options = {});
 
   /// Storage key of column `col` of the container named `base_key`.
-  static std::string ColumnKey(const std::string& base_key, size_t col);
+  static std::string ColumnKey(std::string_view base_key, size_t col);
 };
 
 /// Parses one column file: footer, block index, and on-demand block decode.
@@ -190,10 +197,11 @@ struct RosScanOptions {
   /// Optional predicate over the projection row (column positions refer to
   /// the projection schema). Drives block pruning and row filtering.
   PredicatePtr predicate;
-  /// Optional tombstones for this container.
+  /// Optional tombstones for the container (ScanRosContainer; pack
+  /// targets carry their own).
   const DeleteVector* deletes = nullptr;
-  /// Container-relative row range [row_begin, row_end): used by
-  /// container-split crunch scaling (Section 4.4). Default = whole file.
+  /// Container-relative row range [row_begin, row_end) (ScanRosContainer;
+  /// pack targets carry their own). Default = whole file.
   uint64_t row_begin = 0;
   uint64_t row_end = UINT64_MAX;
   /// Evaluate the predicate block-at-a-time into a selection vector
@@ -207,7 +215,7 @@ struct RosScanOptions {
   /// survives phase 1 never fetch their output-only column files.
   /// Requires block_eval and a predicate; otherwise the eager path runs.
   bool late_mat = true;
-  /// Optional precomputed Predicate::CollectColumns result, so per-morsel
+  /// Optional precomputed Predicate::CollectColumns result, so per-pack
   /// scans skip re-walking the predicate tree. Empty = computed here.
   /// Must equal the predicate's column set when provided.
   std::vector<size_t> predicate_columns;
@@ -269,10 +277,48 @@ struct RosScanStats {
   }
 };
 
-/// Scan a ROS container: fetches only the needed column files (true column
-/// store — columns are physically separate), prunes blocks by min/max,
-/// applies the predicate and delete vector, and returns rows containing
-/// exactly `output_columns` in order.
+/// One container of a pack scan (ScanRosPack): where its files live, its
+/// tombstones and row range, and where its output goes. Each target has
+/// its own output slot, so a pack's results stay per container.
+struct RosScanTarget {
+  std::string_view base_key;
+  const DeleteVector* deletes = nullptr;
+  /// Container-relative row range [row_begin, row_end) (container-split
+  /// crunch scaling, Section 4.4). Default = whole file.
+  uint64_t row_begin = 0;
+  uint64_t row_end = UINT64_MAX;
+  /// Receives the container's output rows, appended in block order. Null
+  /// = rows are not materialized (a positions-only scan).
+  std::vector<Row>* rows = nullptr;
+  /// Optional: receives the container-relative position of every output
+  /// row, in the same order.
+  std::vector<uint64_t>* positions = nullptr;
+};
+
+/// Scan a run of ROS containers of one projection — the one production
+/// scan. Fetches only the needed column files (true column store —
+/// columns are physically separate), prunes blocks by min/max, applies
+/// the predicate and each target's delete vector and row range, and emits
+/// rows containing exactly `options.output_columns` in order into each
+/// target's slot. `options.deletes`/`row_begin`/`row_end` are ignored:
+/// every target carries its own.
+///
+/// The column split is computed once per call. Under late
+/// materialization, fetches are issued per pack, never per container:
+///   1. the predicate-column files of every target, as one async batch;
+///   2. phase 1 (predicate evaluation) over the whole pack;
+///   3. the output-only files of every target with survivors, as one
+///      async batch (a target where nothing survives never fetches them);
+///   4. phase 2 (selective decode of the survivors).
+/// The eager pipelines fetch every needed file of the pack as one batch.
+/// Stats accumulate over the whole pack into `stats`.
+Status ScanRosPack(const Schema& schema,
+                   const std::vector<RosScanTarget>& pack,
+                   FileFetcher* fetcher, const RosScanOptions& options,
+                   RosScanStats* stats = nullptr);
+
+/// Scan one ROS container: the one-target case of ScanRosPack, with the
+/// delete vector and row range taken from `options`.
 Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
                                           const std::string& base_key,
                                           FileFetcher* fetcher,
@@ -281,7 +327,8 @@ Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
 
 /// Container-relative positions of live rows matching `predicate`
 /// (tombstoned positions in `deletes` are excluded). Drives the DELETE
-/// path: delete vectors store positions, not keys (Section 2.3).
+/// path: delete vectors store positions, not keys (Section 2.3). A
+/// positions-only ScanRosPack.
 Result<std::vector<uint64_t>> FindMatchingPositions(
     const Schema& schema, const std::string& base_key, FileFetcher* fetcher,
     const PredicatePtr& predicate, const DeleteVector* deletes = nullptr);

@@ -125,6 +125,12 @@ std::vector<Node*> WosNodes(EonCluster* cluster) {
   return out;
 }
 
+/// Moveout body. With `threshold_node` set, the moveout was triggered by
+/// an INSERT that saw that node's unflushed rows reach `min_rows`; it
+/// moves nothing unless that still holds under the WOS gates.
+Result<uint64_t> MoveoutWosImpl(EonCluster* cluster, const std::string& table,
+                                Node* threshold_node, uint64_t min_rows);
+
 }  // namespace
 
 std::vector<Row> ComputeLiveAggRows(const TableDef& lap,
@@ -373,16 +379,26 @@ Result<uint64_t> InsertInto(EonCluster* cluster, const std::string& table,
 
   // Moveout threshold: once this node's unflushed rows for the table
   // reach the configured budget, snapshot them to ROS synchronously (the
-  // TupleMover also sweeps on its own cadence).
-  if (coord->wos()->UnflushedRows(tdef->oid) >=
-      coord->wos_options().flush_rows) {
-    Result<uint64_t> moved = MoveoutWos(cluster, table);
+  // TupleMover also sweeps on its own cadence). Every writer whose commit
+  // saw the threshold crossed gets here, so the moveout re-checks it under
+  // the WOS gates: the first one moves the rows, the rest find them gone.
+  const uint64_t flush_rows = coord->wos_options().flush_rows;
+  if (coord->wos()->UnflushedRows(tdef->oid) >= flush_rows) {
+    Result<uint64_t> moved = MoveoutWosImpl(cluster, table, coord, flush_rows);
     if (!moved.ok()) return moved.status();
   }
   return rows.size();
 }
 
 Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table) {
+  return MoveoutWosImpl(cluster, table, /*threshold_node=*/nullptr,
+                        /*min_rows=*/0);
+}
+
+namespace {
+
+Result<uint64_t> MoveoutWosImpl(EonCluster* cluster, const std::string& table,
+                                Node* threshold_node, uint64_t min_rows) {
   Node* coord = cluster->AnyUpNode();
   if (coord == nullptr) return Status::Unavailable("no up nodes");
   auto snapshot = coord->catalog()->snapshot();
@@ -403,6 +419,11 @@ Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table) {
   std::vector<std::unique_lock<std::mutex>> gates;
   gates.reserve(wos_nodes.size());
   for (Node* n : wos_nodes) gates.push_back(n->wos()->LockGate());
+  if (threshold_node != nullptr &&
+      threshold_node->wos()->UnflushedRows(tdef->oid) < min_rows) {
+    span.End();
+    return 0;  // A concurrent writer's moveout already took the rows.
+  }
 
   struct NodeFlush {
     Node* node = nullptr;
@@ -486,8 +507,6 @@ Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table) {
   }
   return moved;
 }
-
-namespace {
 
 /// Shared writer: when `only_projection` is set, containers are written
 /// for that projection alone (new-projection backfill).

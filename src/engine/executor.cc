@@ -171,9 +171,10 @@ class PhaseScope {
 };
 
 /// Scan one table across the participating nodes. Each (node, container,
-/// rank) triple is an independent morsel executed on `par`; morsel results
-/// are merged in morsel-construction order, so the output is identical to
-/// the old serial nested loop at any pool width.
+/// rank) triple is a morsel; runs of small local container morsels are
+/// packed into one task executed on `par`. Morsel results are merged in
+/// morsel-construction order, so the output is identical to the old
+/// serial nested loop at any pool width.
 Result<ScanOutput> ScanDistributed(EonCluster* cluster,
                                    const ExecContext& context,
                                    const CatalogState& snapshot,
@@ -421,6 +422,7 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
   struct Morsel {
     Oid node = 0;              ///< Executing node (cache owner + row sink).
     Node* executor = nullptr;  ///< Resolved node pointer.
+    ShardId shard = 0;
     /// Keeps the serving node's catalog snapshot (and thus `container`)
     /// alive for the duration of the parallel section.
     std::shared_ptr<const CatalogState> snapshot;
@@ -428,6 +430,11 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
     const StorageContainerMeta* container = nullptr;
     size_t k = 1;     ///< Sharing-group size (crunch fan-out).
     size_t rank = 0;  ///< This morsel's rank within the sharing group.
+    /// Container-relative rows this morsel reads: all of them, or the
+    /// rank's slice under container-split crunch (each row read once;
+    /// segmentation property lost).
+    uint64_t row_begin = 0;
+    uint64_t row_end = UINT64_MAX;
     bool push = false;       ///< Planner chose the near-data scan path.
     bool push_aggs = false;  ///< The store folds partial aggregates too.
     uint64_t cold_bytes = 0;  ///< Planner's cold-fetch estimate (profile).
@@ -435,6 +442,11 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
     /// width, placement order). Shared so ranks of a sharing group read
     /// one copy.
     std::shared_ptr<const std::vector<Row>> wos_rows;
+
+    uint64_t rows() const {
+      if (container == nullptr) return wos_rows->size();
+      return std::min(row_end, container->row_count) - row_begin;
+    }
   };
 
   // Per-morsel pushdown inputs that do not depend on the container: the
@@ -480,10 +492,15 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
         Morsel m;
         m.node = sw.nodes[rank];
         m.executor = executor;
+        m.shard = sw.shard;
         m.snapshot = serving_snapshot;
         m.container = container;
         m.k = k;
         m.rank = rank;
+        if (k > 1 && context.crunch == CrunchMode::kContainerSplit) {
+          m.row_begin = container->row_count * rank / k;
+          m.row_end = container->row_count * (rank + 1) / k;
+        }
         if (pushdown_mode > 0) {
           // Cost-based near-data decision, per morsel: estimate what a
           // LOCAL scan would fetch cold (needed column files not resident
@@ -505,14 +522,9 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
               d.cold_bytes += file_bytes;
             }
           }
-          uint64_t range_rows = container->row_count;
-          if (k > 1 && context.crunch == CrunchMode::kContainerSplit) {
-            range_rows = container->row_count * (rank + 1) / k -
-                         container->row_count * rank / k;
-          }
           d.pushed_bytes =
               agg_push_ok ? 1024
-                          : static_cast<uint64_t>(selectivity * range_rows *
+                          : static_cast<uint64_t>(selectivity * m.rows() *
                                                   est_row_bytes) +
                                 256;
           m.cold_bytes = d.cold_bytes;
@@ -537,6 +549,7 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
         Morsel m;
         m.node = sw.nodes[rank];
         m.executor = executor;
+        m.shard = sw.shard;
         m.k = k;
         m.rank = rank;
         m.wos_rows = wit->second;
@@ -545,23 +558,62 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
     }
   }
 
-  // Read-ahead pipeline: before scanning morsel i, the column files of
-  // morsels i+1..i+depth are queued on the I/O pool into their executing
-  // node's cache, so this morsel's compute overlaps the next morsels'
-  // object-store latency. Phase-1 (predicate) columns are what the scan
-  // touches first — under late materialization the scan itself async-
-  // fetches output columns once survivors are known — so those are the
-  // read-ahead set; a predicate-less scan reads every output column up
+  // Packing: one task scans a run of local container morsels instead of
+  // one container, so thousands of tiny containers do not each pay a
+  // task, a span, a CPU-clock pair and a fetch round of their own. A
+  // morsel joins the open pack of its shard and rank when it is a local
+  // container scan on the same executing node and the pack stays within
+  // kPackMaxContainers containers and kPackMaxRows rows (a bigger
+  // container gets a pack of its own). Pushed and WOS morsels stay single
+  // and cut the open pack of their rank. Like the morsels, packs depend
+  // only on the plan, never on pool width; each morsel keeps its own
+  // result slot below, so the merge — and the output — is unchanged.
+  constexpr size_t kPackMaxContainers = 64;
+  constexpr uint64_t kPackMaxRows = 4096;
+  struct Pack {
+    std::vector<size_t> morsels;  ///< Indices into `morsels`, ascending.
+    uint64_t rows = 0;
+  };
+  std::vector<Pack> packs;
+  {
+    std::vector<size_t> open;  // Rank -> open pack of the current shard.
+    for (size_t i = 0; i < morsels.size(); ++i) {
+      const Morsel& m = morsels[i];
+      if (i == 0 || m.shard != morsels[i - 1].shard) open.assign(m.k, SIZE_MAX);
+      const bool packable = m.container != nullptr && !m.push;
+      const uint64_t rows = m.rows();
+      if (packable && open[m.rank] != SIZE_MAX) {
+        Pack& pack = packs[open[m.rank]];
+        if (morsels[pack.morsels.front()].node == m.node &&
+            pack.morsels.size() < kPackMaxContainers &&
+            pack.rows + rows <= kPackMaxRows) {
+          pack.morsels.push_back(i);
+          pack.rows += rows;
+          continue;
+        }
+      }
+      packs.push_back(Pack{{i}, rows});
+      open[m.rank] = packable ? packs.size() - 1 : SIZE_MAX;
+    }
+  }
+
+  // Read-ahead pipeline: before scanning a pack, the column files of the
+  // `depth` morsels after it are queued on the I/O pool into their
+  // executing node's cache, so this pack's compute overlaps the next
+  // morsels' object-store latency. Phase-1 (predicate) columns are what
+  // the scan touches first — under late materialization the scan itself
+  // async-fetches output columns once survivors are known — so those are
+  // the read-ahead set; a predicate-less scan reads every output column up
   // front and prefetches the same.
   const size_t prefetch_depth =
       static_cast<size_t>(std::max(0, cluster->prefetch_depth()));
   const std::vector<size_t>& prefetch_cols =
       pred_proj_cols.empty() ? scan_cols : pred_proj_cols;
-  // High-water mark: consecutive windows overlap (morsel i and i+1 both
-  // cover i+2..), so without it every morsel would be requested `depth`
-  // times — redundant resident-checks that add up over thousands of tiny
-  // morsels. Monotonic CAS keeps the dedup exact under morsel parallelism;
-  // a request "lost" to a racing lane was just issued by that lane.
+  // High-water mark: consecutive windows overlap, so without it a morsel
+  // could be requested several times — redundant resident-checks that add
+  // up over thousands of tiny morsels. Monotonic CAS keeps the dedup exact
+  // under parallel packs; a request "lost" to a racing lane was just
+  // issued by that lane.
   std::atomic<size_t> prefetch_hwm{0};
   // Warm backoff: on a fully-resident cache every window pre-checks as
   // already satisfied, so after a streak of such windows the scan stops
@@ -612,9 +664,9 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
     }
   };
 
-  // Execute every morsel as an independent task. Each task writes only its
-  // own MorselResult slot: rows are hash-filtered and stripped locally, and
-  // scan stats accumulate into a task-private RosScanStats.
+  // Each morsel owns one MorselResult slot, whichever pack scans it: rows
+  // are hash-filtered and stripped per morsel, and a pack's scan stats
+  // and error land in its first morsel's slot.
   struct MorselResult {
     Status status = Status::OK();
     std::vector<Row> rows;     ///< Post-filter, stripped output rows.
@@ -631,16 +683,197 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
     uint64_t bytes_saved = 0;  ///< Estimated cold fetch the push avoided.
   };
   std::vector<MorselResult> results(morsels.size());
-  // Tracing: morsel tasks hop threads, so the coordinator's context is
-  // captured once here (by reference — Run is a barrier, the frame
-  // outlives every task) and reinstalled inside each task. Each morsel
-  // gets its own span, tagged with pool lane and executing node, and
-  // re-parents the context under itself so cache fetches, prefetches and
-  // near-data scans issued by the morsel nest below it.
-  const obs::TraceContext scan_trace = obs::CurrentTraceCopy();
-  par->Run(morsels.size(), [&](size_t i) {
+
+  // Hash-filter crunch and seg-column stripping of one morsel's scanned
+  // rows into its result slot.
+  auto finish_morsel = [&](size_t i, std::vector<Row> rows) {
     const Morsel& m = morsels[i];
     MorselResult& res = results[i];
+    res.rows_scanned = rows.size();
+    res.rows.reserve(rows.size());
+    const bool hash_filter =
+        m.k > 1 && context.crunch == CrunchMode::kHashFilter;
+    if (hash_filter && seg_positions_in_scan.size() == 1 &&
+        proj_schema.column(scan_cols[seg_positions_in_scan[0]]).type ==
+            DataType::kInt64) {
+      // Single int64 segmentation column (the common fan-out shape):
+      // hash the whole morsel with the vectorized kernel — bit-identical
+      // to Value::SegHash per row — then keep rank-owned rows.
+      const size_t seg_pos = seg_positions_in_scan[0];
+      ColumnBatch seg = ColumnBatch::FromRows(rows, seg_pos, DataType::kInt64);
+      std::vector<uint32_t> hashes(rows.size());
+      simd::SegHashInt64(seg.ints(), rows.size(), seg.validity_words(),
+                         hashes.data());
+      res.scan.kernel_calls++;
+      for (size_t r = 0; r < rows.size(); ++r) {
+        if (hashes[r] % m.k != m.rank) continue;
+        rows[r].resize(out_proj_cols.size());  // Strip seg columns.
+        res.rows.push_back(std::move(rows[r]));
+      }
+      return;
+    }
+    for (Row& row : rows) {
+      if (hash_filter) {
+        // Secondary hash segmentation predicate applied per row: only
+        // rank (hash % k) keeps the row (Section 4.4).
+        uint32_t h = 0;
+        bool first = true;
+        for (size_t pos : seg_positions_in_scan) {
+          h = first ? row[pos].SegHash()
+                    : SegmentationHashCombine(h, row[pos].SegHash());
+          first = false;
+        }
+        if (h % m.k != m.rank) continue;
+      }
+      row.resize(out_proj_cols.size());  // Strip ride-along seg columns.
+      res.rows.push_back(std::move(row));
+    }
+  };
+
+  // WOS morsel: materialize this shard's memtable rows into the scan's
+  // currency. Row-wise mode evaluates the predicate with the reference
+  // Eval; block modes columnarize the predicate columns and run the same
+  // vectorized kernels as the container scan — both produce identical
+  // selections, so output is bit-identical across scan modes.
+  auto scan_wos = [&](size_t i) {
+    const Morsel& m = morsels[i];
+    const std::vector<Row>& src = *m.wos_rows;
+    size_t row_begin = 0, row_end = src.size();
+    if (m.k > 1 && context.crunch == CrunchMode::kContainerSplit) {
+      row_begin = src.size() * m.rank / m.k;
+      row_end = src.size() * (m.rank + 1) / m.k;
+    }
+    const size_t n = row_end - row_begin;
+    std::vector<uint8_t> sel(n, 1);
+    if (pred != nullptr && n > 0) {
+      if (context.scan_mode == ScanMode::kRowWise) {
+        for (size_t r = 0; r < n; ++r) {
+          sel[r] = pred->Eval(src[row_begin + r]) ? 1 : 0;
+        }
+      } else {
+        std::vector<Row> slice(src.begin() + row_begin, src.begin() + row_end);
+        std::map<size_t, ColumnBatch> owned;
+        std::vector<const ColumnBatch*> cols(proj_schema.num_columns(),
+                                             nullptr);
+        for (size_t c : pred_proj_cols) {
+          owned.emplace(c, ColumnBatch::FromRows(slice, c,
+                                                 proj_schema.column(c).type));
+          cols[c] = &owned.at(c);
+        }
+        pred->EvalBlockBatch(cols, n, &sel, &results[i].scan.kernel_calls);
+      }
+    }
+    std::vector<Row> rows;
+    rows.reserve(n);
+    for (size_t r = 0; r < n; ++r) {
+      if (!sel[r]) continue;
+      const Row& full = src[row_begin + r];
+      Row out_row;
+      out_row.reserve(scan_cols.size());
+      for (size_t pos : scan_cols) out_row.push_back(full[pos]);
+      rows.push_back(std::move(out_row));
+    }
+    finish_morsel(i, std::move(rows));
+  };
+
+  // Local scan of a run of container morsels through the cache-mediated
+  // pack scan: one fetch batch per phase for the whole run.
+  RosScanOptions pack_scan;
+  pack_scan.output_columns = scan_cols;
+  pack_scan.predicate = pred;
+  pack_scan.predicate_columns = pred_proj_cols;
+  ApplyScanMode(context.scan_mode, &pack_scan);
+  auto scan_local = [&](const std::vector<size_t>& members) -> Status {
+    const Morsel& first = morsels[members.front()];
+    std::vector<DeleteVector> deletes(members.size());
+    std::vector<std::vector<Row>> rows(members.size());
+    std::vector<RosScanTarget> targets(members.size());
+    for (size_t j = 0; j < members.size(); ++j) {
+      const Morsel& m = morsels[members[j]];
+      EON_ASSIGN_OR_RETURN(
+          deletes[j],
+          LoadDeleteVector(*m.snapshot, *m.container, m.executor->cache()));
+      RosScanTarget& t = targets[j];
+      t.base_key = m.container->base_key;
+      t.deletes = deletes[j].empty() ? nullptr : &deletes[j];
+      t.row_begin = m.row_begin;
+      t.row_end = m.row_end;
+      t.rows = &rows[j];
+    }
+    EON_RETURN_IF_ERROR(ScanRosPack(proj_schema, targets,
+                                    first.executor->cache(), pack_scan,
+                                    &results[members.front()].scan));
+    for (size_t j = 0; j < members.size(); ++j) {
+      finish_morsel(members[j], std::move(rows[j]));
+    }
+    return Status::OK();
+  };
+
+  // Near-data path: the store runs the same scan pipeline next to the
+  // data and returns only surviving rows (or agg partials), bypassing this
+  // node's cache entirely. A store without near-data capability
+  // (NotSupported) falls back to the ordinary local scan.
+  auto scan_pushed = [&](size_t i) -> Status {
+    const Morsel& m = morsels[i];
+    MorselResult& res = results[i];
+    EON_ASSIGN_OR_RETURN(
+        DeleteVector deletes,
+        LoadDeleteVector(*m.snapshot, *m.container, m.executor->cache()));
+    ScanObjectRequest req;
+    req.base_key = m.container->base_key;
+    req.schema = proj_schema;
+    req.output_columns = scan_cols;
+    req.predicate = pred;
+    req.predicate_columns = pred_proj_cols;
+    req.deletes = &deletes;
+    req.row_begin = m.row_begin;
+    req.row_end = m.row_end;
+    if (m.push_aggs) {
+      req.aggregates = push_agg_specs;
+      req.group_columns = push_group_pos;
+    }
+    ScanObjectResponse resp;
+    obs::Span push_span = obs::StartTraceSpan("scan_object");
+    Status s = m.executor->shared_storage()->ScanObject(req, &resp);
+    if (push_span.valid()) {
+      push_span.SetAttribute("container", m.container->base_key);
+      push_span.SetAttribute("response_bytes",
+                             static_cast<int64_t>(resp.response_bytes));
+      push_span.SetAttribute("bytes_scanned",
+                             static_cast<int64_t>(resp.bytes_scanned));
+      push_span.SetAttribute("ok", s.ok() ? 1 : 0);
+      push_span.End();
+    }
+    if (s.IsNotSupported()) return scan_local({i});
+    EON_RETURN_IF_ERROR(s);
+    res.pushed = true;
+    res.response_bytes = resp.response_bytes;
+    res.store_bytes_scanned = resp.bytes_scanned;
+    res.store_rows_filtered = resp.rows_visited - resp.rows_output;
+    res.bytes_saved = m.cold_bytes;
+    res.scan = resp.scan;
+    if (m.push_aggs) {
+      res.partials = std::move(resp.groups);
+      res.has_partials = true;
+      res.rows_scanned = resp.rows_output;
+      return Status::OK();
+    }
+    finish_morsel(i, std::move(resp.rows));
+    return Status::OK();
+  };
+
+  // Execute every pack as an independent task. Tracing: tasks hop
+  // threads, so the coordinator's context is captured once here (by
+  // reference — Run is a barrier, the frame outlives every task) and
+  // reinstalled inside each task. Each pack gets one "morsel" span,
+  // tagged with pool lane, executing node and its first container, and
+  // re-parents the context under itself so cache fetches, prefetches and
+  // near-data scans issued by the pack nest below it.
+  const obs::TraceContext scan_trace = obs::CurrentTraceCopy();
+  par->Run(packs.size(), [&](size_t p) {
+    const Pack& pack = packs[p];
+    const size_t i = pack.morsels.front();
+    const Morsel& m = morsels[i];
     obs::TraceScope task_trace(scan_trace);
     obs::Span morsel_span = obs::StartTraceSpan("morsel");
     if (morsel_span.valid()) {
@@ -649,13 +882,12 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
           "lane", static_cast<int64_t>(cluster->exec_pool()->CurrentSlot()));
       if (m.container != nullptr) {
         morsel_span.SetAttribute("container", m.container->base_key);
-        morsel_span.SetAttribute(
-            "rows", static_cast<int64_t>(m.container->row_count));
+        morsel_span.SetAttribute("containers",
+                                 static_cast<int64_t>(pack.morsels.size()));
       } else {
         morsel_span.SetAttribute("wos", 1);
-        morsel_span.SetAttribute("rows",
-                                 static_cast<int64_t>(m.wos_rows->size()));
       }
+      morsel_span.SetAttribute("rows", static_cast<int64_t>(pack.rows));
       if (m.k > 1) {
         morsel_span.SetAttribute("rank", static_cast<int64_t>(m.rank));
         morsel_span.SetAttribute("k", static_cast<int64_t>(m.k));
@@ -664,172 +896,15 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
     }
     obs::TraceScope morsel_trace(
         obs::CurrentTraceWithParent(morsel_span.id()));
-    // Store requests the morsel triggers are attributed to the executing
+    // Store requests the pack triggers are attributed to the executing
     // node (DcNodeScope) — pushed ScanObject calls included.
     obs::DcNodeScope node_scope(m.executor->name());
-    res.status = [&]() -> Status {
-      std::vector<Row> rows;
-      if (m.container == nullptr) {
-        // WOS morsel: materialize this shard's memtable rows into the
-        // scan's currency. Row-wise mode evaluates the predicate with the
-        // reference Eval; block modes columnarize the predicate columns
-        // and run the same vectorized kernels as the container scan —
-        // both produce identical selections, so output is bit-identical
-        // across scan modes.
-        const std::vector<Row>& src = *m.wos_rows;
-        size_t row_begin = 0, row_end = src.size();
-        if (m.k > 1 && context.crunch == CrunchMode::kContainerSplit) {
-          row_begin = src.size() * m.rank / m.k;
-          row_end = src.size() * (m.rank + 1) / m.k;
-        }
-        const size_t n = row_end - row_begin;
-        std::vector<uint8_t> sel(n, 1);
-        if (pred != nullptr && n > 0) {
-          if (context.scan_mode == ScanMode::kRowWise) {
-            for (size_t r = 0; r < n; ++r) {
-              sel[r] = pred->Eval(src[row_begin + r]) ? 1 : 0;
-            }
-          } else {
-            std::vector<Row> slice(src.begin() + row_begin,
-                                   src.begin() + row_end);
-            std::map<size_t, ColumnBatch> owned;
-            std::vector<const ColumnBatch*> cols(proj_schema.num_columns(),
-                                                 nullptr);
-            for (size_t c : pred_proj_cols) {
-              owned.emplace(c, ColumnBatch::FromRows(
-                                   slice, c, proj_schema.column(c).type));
-              cols[c] = &owned.at(c);
-            }
-            pred->EvalBlockBatch(cols, n, &sel, &res.scan.kernel_calls);
-          }
-        }
-        rows.reserve(n);
-        for (size_t r = 0; r < n; ++r) {
-          if (!sel[r]) continue;
-          const Row& full = src[row_begin + r];
-          Row out_row;
-          out_row.reserve(scan_cols.size());
-          for (size_t pos : scan_cols) out_row.push_back(full[pos]);
-          rows.push_back(std::move(out_row));
-        }
-      } else {
-      if (prefetch_depth > 0) prefetch_window(i);
-      EON_ASSIGN_OR_RETURN(
-          DeleteVector deletes,
-          LoadDeleteVector(*m.snapshot, *m.container, m.executor->cache()));
-      bool pushed = false;
-      if (m.push) {
-        // Near-data path: the store runs the same scan pipeline next to
-        // the data and returns only surviving rows (or agg partials),
-        // bypassing this node's cache entirely.
-        ScanObjectRequest req;
-        req.base_key = m.container->base_key;
-        req.schema = proj_schema;
-        req.output_columns = scan_cols;
-        req.predicate = pred;
-        req.predicate_columns = pred_proj_cols;
-        req.deletes = &deletes;
-        if (m.k > 1 && context.crunch == CrunchMode::kContainerSplit) {
-          req.row_begin = m.container->row_count * m.rank / m.k;
-          req.row_end = m.container->row_count * (m.rank + 1) / m.k;
-        }
-        if (m.push_aggs) {
-          req.aggregates = push_agg_specs;
-          req.group_columns = push_group_pos;
-        }
-        ScanObjectResponse resp;
-        obs::Span push_span = obs::StartTraceSpan("scan_object");
-        Status s = m.executor->shared_storage()->ScanObject(req, &resp);
-        if (push_span.valid()) {
-          push_span.SetAttribute("container", m.container->base_key);
-          push_span.SetAttribute(
-              "response_bytes", static_cast<int64_t>(resp.response_bytes));
-          push_span.SetAttribute("bytes_scanned",
-                                 static_cast<int64_t>(resp.bytes_scanned));
-          push_span.SetAttribute("ok", s.ok() ? 1 : 0);
-          push_span.End();
-        }
-        if (s.ok()) {
-          pushed = true;
-          res.pushed = true;
-          res.response_bytes = resp.response_bytes;
-          res.store_bytes_scanned = resp.bytes_scanned;
-          res.store_rows_filtered = resp.rows_visited - resp.rows_output;
-          res.bytes_saved = m.cold_bytes;
-          res.scan = resp.scan;
-          if (m.push_aggs) {
-            res.partials = std::move(resp.groups);
-            res.has_partials = true;
-            res.rows_scanned = resp.rows_output;
-            return Status::OK();
-          }
-          rows = std::move(resp.rows);
-        } else if (!s.IsNotSupported()) {
-          return s;
-        }
-        // NotSupported: the store has no near-data capability — fall
-        // back to the ordinary cache-mediated scan below.
-      }
-      if (!pushed) {
-        RosScanOptions scan;
-        scan.output_columns = scan_cols;
-        scan.predicate = pred;
-        scan.predicate_columns = pred_proj_cols;
-        scan.deletes = &deletes;
-        ApplyScanMode(context.scan_mode, &scan);
-        if (m.k > 1 && context.crunch == CrunchMode::kContainerSplit) {
-          // Physical split: each sharing node reads a distinct row range
-          // (each row read once; segmentation property lost).
-          scan.row_begin = m.container->row_count * m.rank / m.k;
-          scan.row_end = m.container->row_count * (m.rank + 1) / m.k;
-        }
-        EON_ASSIGN_OR_RETURN(
-            rows, ScanRosContainer(proj_schema, m.container->base_key,
-                                   m.executor->cache(), scan, &res.scan));
-      }
-      }
-      res.rows_scanned = rows.size();
-      res.rows.reserve(rows.size());
-      const bool hash_filter =
-          m.k > 1 && context.crunch == CrunchMode::kHashFilter;
-      if (hash_filter && seg_positions_in_scan.size() == 1 &&
-          proj_schema.column(scan_cols[seg_positions_in_scan[0]]).type ==
-              DataType::kInt64) {
-        // Single int64 segmentation column (the common fan-out shape):
-        // hash the whole morsel with the vectorized kernel — bit-identical
-        // to Value::SegHash per row — then keep rank-owned rows.
-        const size_t seg_pos = seg_positions_in_scan[0];
-        ColumnBatch seg =
-            ColumnBatch::FromRows(rows, seg_pos, DataType::kInt64);
-        std::vector<uint32_t> hashes(rows.size());
-        simd::SegHashInt64(seg.ints(), rows.size(), seg.validity_words(),
-                           hashes.data());
-        res.scan.kernel_calls++;
-        for (size_t r = 0; r < rows.size(); ++r) {
-          if (hashes[r] % m.k != m.rank) continue;
-          rows[r].resize(out_proj_cols.size());  // Strip seg columns.
-          res.rows.push_back(std::move(rows[r]));
-        }
-        return Status::OK();
-      }
-      for (Row& row : rows) {
-        if (hash_filter) {
-          // Secondary hash segmentation predicate applied per row: only
-          // rank (hash % k) keeps the row (Section 4.4).
-          uint32_t h = 0;
-          bool first = true;
-          for (size_t pos : seg_positions_in_scan) {
-            h = first ? row[pos].SegHash()
-                      : SegmentationHashCombine(h, row[pos].SegHash());
-            first = false;
-          }
-          if (h % m.k != m.rank) continue;
-        }
-        row.resize(out_proj_cols.size());  // Strip ride-along seg columns.
-        res.rows.push_back(std::move(row));
-      }
-      return Status::OK();
-    }();
+    if (m.container == nullptr) {
+      scan_wos(i);
+      return;
+    }
+    if (prefetch_depth > 0) prefetch_window(pack.morsels.back());
+    results[i].status = m.push ? scan_pushed(i) : scan_local(pack.morsels);
   });
 
   // Deterministic merge in morsel order: the first failing morsel's error

@@ -1,7 +1,9 @@
 #include "tests/reference_executor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 
 namespace eon {
 namespace testing_support {
@@ -329,26 +331,77 @@ std::vector<std::string> Canonical(const std::vector<Row>& rows) {
   return out;
 }
 
+/// Doubles match within a relative 1e-9: distributed aggregation sums in
+/// another order than the reference, so the last bits may differ. Every
+/// other value (and NULL-ness) matches exactly.
+bool NearlyEqual(const Value& a, const Value& b) {
+  if (a.type() != b.type() || a.is_null() != b.is_null()) return false;
+  if (a.is_null()) return true;
+  if (a.type() == DataType::kDouble) {
+    const double x = a.dbl_value(), y = b.dbl_value();
+    if (x == y) return true;
+    const double scale = std::max({1.0, std::fabs(x), std::fabs(y)});
+    return std::fabs(x - y) <= 1e-9 * scale;
+  }
+  return a.Compare(b) == 0;
+}
+
+bool SameRow(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!NearlyEqual(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+/// A row with doubles at full precision, for mismatch reports.
+std::string ExactText(const Row& row) {
+  std::string line;
+  for (const Value& v : row) {
+    if (!v.is_null() && v.type() == DataType::kDouble) {
+      char buf[64];
+      snprintf(buf, sizeof(buf), "d%.17g", v.dbl_value());
+      line += buf;
+    } else {
+      line += NormalizeValue(v);
+    }
+    line += "|";
+  }
+  return line;
+}
+
 }  // namespace
 
 bool SameResults(const std::vector<Row>& a, const std::vector<Row>& b,
                  bool ordered, std::string* diff) {
-  std::vector<std::string> ca = Canonical(a);
-  std::vector<std::string> cb = Canonical(b);
-  if (!ordered) {
-    std::sort(ca.begin(), ca.end());
-    std::sort(cb.begin(), cb.end());
-  }
-  if (ca.size() != cb.size()) {
+  if (a.size() != b.size()) {
     if (diff) {
-      *diff = "row count " + std::to_string(ca.size()) + " vs " +
-              std::to_string(cb.size());
+      *diff = "row count " + std::to_string(a.size()) + " vs " +
+              std::to_string(b.size());
     }
     return false;
   }
-  for (size_t i = 0; i < ca.size(); ++i) {
-    if (ca[i] != cb[i]) {
-      if (diff) *diff = "row " + std::to_string(i) + ": " + ca[i] + " vs " + cb[i];
+  // Pair the rows up — by position, or (unordered) by their canonical
+  // form — then compare each pair value by value, so two doubles a few
+  // ulps apart compare equal even when rounding puts them on different
+  // sides of a printed digit.
+  std::vector<size_t> ia(a.size()), ib(b.size());
+  std::iota(ia.begin(), ia.end(), size_t{0});
+  std::iota(ib.begin(), ib.end(), size_t{0});
+  if (!ordered) {
+    const std::vector<std::string> ca = Canonical(a);
+    const std::vector<std::string> cb = Canonical(b);
+    std::stable_sort(ia.begin(), ia.end(),
+                     [&](size_t x, size_t y) { return ca[x] < ca[y]; });
+    std::stable_sort(ib.begin(), ib.end(),
+                     [&](size_t x, size_t y) { return cb[x] < cb[y]; });
+  }
+  for (size_t i = 0; i < ia.size(); ++i) {
+    if (!SameRow(a[ia[i]], b[ib[i]])) {
+      if (diff) {
+        *diff = "row " + std::to_string(i) + ": " + ExactText(a[ia[i]]) +
+                " vs " + ExactText(b[ib[i]]);
+      }
       return false;
     }
   }

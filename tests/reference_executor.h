@@ -41,10 +41,11 @@ inline RefDatabase TpchReferenceDb(const TpchData& data) {
 Result<std::vector<Row>> ReferenceExecute(const RefDatabase& db,
                                           const QuerySpec& spec);
 
-/// Compare result sets. When `ordered` is false both sides are sorted
-/// canonically first (for queries with no ORDER BY, row order is
-/// unspecified). Doubles compare with a small relative tolerance because
-/// distributed aggregation sums in a different order.
+/// Compare result sets. When `ordered` is false both sides are sorted by
+/// their canonical text first (for queries with no ORDER BY, row order is
+/// unspecified). Rows then compare value by value; doubles match within a
+/// 1e-9 relative tolerance because distributed aggregation sums in a
+/// different order.
 bool SameResults(const std::vector<Row>& a, const std::vector<Row>& b,
                  bool ordered, std::string* diff);
 

@@ -300,5 +300,113 @@ TEST_F(FileCacheTest, ConcurrentFetchRefDropAndEvictionChurn) {
   EXPECT_LE(cache.size_bytes(), 300u);
 }
 
+// Pins are the refcount of the cached bytes: every live FileRef — copies
+// and the ref a ready fetch handle hands over included — keeps its entry
+// off the eviction list, and pinned_refs() counts exactly those refs.
+TEST_F(FileCacheTest, RefcountPinsSurviveCapacityPressure) {
+  FileCache cache = MakeCache(300);  // Fits 3 files.
+  Result<FileRef> a = cache.FetchRef("f0");
+  ASSERT_TRUE(a.ok());
+  FileRef copy = *a;  // A copy is a second pin on the same entry.
+  PendingFile pending = cache.FetchRefAsync("f1");
+  Result<FileRef> b = pending.Wait();
+  ASSERT_TRUE(b.ok());
+  // The ready handle handed its ref over: one pin per live ref.
+  EXPECT_EQ(cache.pinned_refs(), 3u);
+
+  for (const char* k : {"f2", "f3", "f4", "f5", "f6", "f7"}) {
+    ASSERT_TRUE(cache.Fetch(k).ok());
+  }
+  EXPECT_TRUE(cache.Contains("f0"));
+  EXPECT_TRUE(cache.Contains("f1"));
+  EXPECT_EQ(*copy, std::string(100, 'a'));
+  EXPECT_EQ(**b, std::string(100, 'b'));
+
+  a->reset();  // f0 is still pinned by the copy.
+  EXPECT_EQ(cache.pinned_refs(), 2u);
+  for (const char* k : {"f8", "f9"}) ASSERT_TRUE(cache.Fetch(k).ok());
+  EXPECT_TRUE(cache.Contains("f0"));
+
+  copy.reset();
+  b->reset();
+  EXPECT_EQ(cache.pinned_refs(), 0u);
+  for (const char* k : {"f2", "f3", "f4"}) ASSERT_TRUE(cache.Fetch(k).ok());
+  EXPECT_FALSE(cache.Contains("f0"));
+  EXPECT_FALSE(cache.Contains("f1"));
+  EXPECT_LE(cache.size_bytes(), 300u);
+}
+
+TEST_F(FileCacheTest, RefStaysValidAfterClear) {
+  FileCache cache = MakeCache(1000);
+  Result<FileRef> held = cache.FetchRef("f4");
+  ASSERT_TRUE(held.ok());
+  cache.Clear();
+  EXPECT_FALSE(cache.Contains("f4"));
+  EXPECT_EQ(cache.size_bytes(), 0u);
+  // Only resident entries count as pinned; the bytes live on regardless.
+  EXPECT_EQ(cache.pinned_refs(), 0u);
+  EXPECT_EQ(**held, std::string(100, 'e'));
+  // A re-fetch inserts a fresh entry; the old ref does not pin it.
+  Result<FileRef> again = cache.FetchRef("f4");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(cache.pinned_refs(), 1u);
+  held->reset();
+  EXPECT_EQ(cache.pinned_refs(), 1u);
+  again->reset();
+  EXPECT_EQ(cache.pinned_refs(), 0u);
+}
+
+// Concurrency smoke for TSan: refs fetched on several threads are copied
+// and released later while eviction and Drop churn the cache (then Clear,
+// from another thread). A held entry is never evicted, and every ref
+// keeps its bytes.
+TEST_F(FileCacheTest, ConcurrentRefcountPinsFetchReleaseEvict) {
+  FileCache cache = MakeCache(300);
+  Result<FileRef> anchor = cache.FetchRef("f0");
+  ASSERT_TRUE(anchor.ok());
+  constexpr int kThreads = 4;
+  constexpr int kIters = 300;
+  std::atomic<int> bad{0};
+  auto churn = [&](int t) {
+    std::vector<FileRef> kept;
+    for (int i = 0; i < kIters; ++i) {
+      const int f = 1 + (t * 5 + i) % 9;
+      const std::string key = "f" + std::to_string(f);
+      Result<FileRef> ref = (i % 2 == 0) ? cache.FetchRef(key)
+                                         : cache.FetchRefAsync(key).Wait();
+      if (!ref.ok() || (**ref)[0] != 'a' + f) {
+        bad.fetch_add(1);
+        continue;
+      }
+      kept.push_back(*ref);  // Copies released a few iterations later.
+      if (kept.size() > 2) kept.erase(kept.begin());
+      if (i % 23 == 0) cache.Drop(key);
+    }
+    for (const FileRef& ref : kept) {
+      if (ref->size() != 100) bad.fetch_add(1);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(churn, t);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_TRUE(cache.Contains("f0"));  // Pinned through all the churn.
+  EXPECT_EQ(cache.pinned_refs(), 1u);
+  EXPECT_LE(cache.size_bytes(), 300u + 100u * kThreads);
+
+  threads.clear();
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(churn, t);
+  for (int i = 0; i < 20; ++i) {
+    cache.Clear();
+    std::this_thread::yield();
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(**anchor, std::string(100, 'a'));
+  anchor->reset();
+  EXPECT_EQ(cache.pinned_refs(), 0u);
+}
+
 }  // namespace
 }  // namespace eon

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+
 #include "cluster/cluster.h"
 #include "engine/session.h"
 #include "storage/sim_object_store.h"
@@ -280,6 +283,38 @@ TEST(DifferentialSuite, NodeDownStillMatchesReference) {
     ExpectMatchesReference(spec, *result, "node-down query");
   }
   ASSERT_TRUE(sc->cluster->RestartNode(5).ok());
+}
+
+// SameResults pairs rows by canonical text, then compares doubles with a
+// relative tolerance: sums a few ulps apart match even when they print on
+// either side of a rounding boundary, but a real difference still fails.
+TEST(DifferentialSuite, SameResultsToleratesUlpsNotErrors) {
+  const double boundary = 10891631.65;
+  const double above = std::nextafter(boundary, 1e300);
+  double below = boundary;
+  for (int i = 0; i < 3; ++i) below = std::nextafter(below, -1e300);
+  char above_text[32], below_text[32];
+  snprintf(above_text, sizeof(above_text), "%.9g", above);
+  snprintf(below_text, sizeof(below_text), "%.9g", below);
+  ASSERT_STRNE(above_text, below_text) << "values must straddle a boundary";
+
+  const std::vector<Row> a = {{Value::Str("x"), Value::Dbl(above)},
+                              {Value::Str("y"), Value::Dbl(1.0)}};
+  const std::vector<Row> b = {{Value::Str("y"), Value::Dbl(1.0)},
+                              {Value::Str("x"), Value::Dbl(below)}};
+  std::string diff;
+  EXPECT_TRUE(SameResults(a, b, /*ordered=*/false, &diff)) << diff;
+  EXPECT_TRUE(SameResults(a, {a[0], a[1]}, /*ordered=*/true, &diff)) << diff;
+
+  const std::vector<Row> off = {{Value::Str("y"), Value::Dbl(1.0)},
+                                {Value::Str("x"), Value::Dbl(above * (1 + 1e-6))}};
+  EXPECT_FALSE(SameResults(a, off, /*ordered=*/false, &diff));
+  EXPECT_FALSE(diff.empty());
+  EXPECT_FALSE(SameResults(a, b, /*ordered=*/true, &diff));
+  EXPECT_FALSE(
+      SameResults(a, {{Value::Str("x"), Value::Null(DataType::kDouble)},
+                      {Value::Str("y"), Value::Dbl(1.0)}},
+                  /*ordered=*/true, &diff));
 }
 
 }  // namespace

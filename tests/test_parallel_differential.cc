@@ -15,6 +15,8 @@
 
 #include "cluster/cluster.h"
 #include "columnar/kernels.h"
+#include "engine/ddl.h"
+#include "engine/dml.h"
 #include "engine/session.h"
 #include "storage/sim_object_store.h"
 #include "tests/reference_executor.h"
@@ -396,6 +398,293 @@ TEST(ParallelDifferential, ProfileReportsParallelExecution) {
   EXPECT_GE(result->profile.exec_task_cpu_micros,
             result->profile.exec_critical_cpu_micros);
   EXPECT_GE(result->profile.Parallelism(), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Packed morsels: a day-partitioned table loaded in small batches splits
+// into thousands of 1–3-row containers, which the executor scans in packs
+// of up to 64 containers. Alongside them: one big container per shard
+// (it joins a pack while the row budget allows; cold, under pushdown, it
+// is pushed to the store and cuts the open pack), delete vectors, and
+// unflushed WOS rows. Every width × crunch
+// mode × pushdown setting must be bit-identical to width 1 and match the
+// reference executor.
+
+constexpr int64_t kPackedDays = 400;
+
+Schema PackedSchema() {
+  return Schema({{"id", DataType::kInt64},
+                 {"day", DataType::kInt64},
+                 {"v", DataType::kDouble},
+                 {"note", DataType::kString}});
+}
+
+Row PackedRow(int64_t id, int64_t day) {
+  return Row{Value::Int(id), Value::Int(day),
+             Value::Dbl(static_cast<double>((id * 37) % 1000) / 4),
+             Value::Str("n" + std::to_string(id % 97))};
+}
+
+struct PackedClusters {
+  testing_support::RefDatabase reference;
+  struct Instance {
+    SimClock clock;
+    std::unique_ptr<SimObjectStore> store;
+    std::unique_ptr<EonCluster> cluster;
+  };
+  /// Keyed by (pushdown mode, width).
+  std::map<std::pair<int, int>, std::unique_ptr<Instance>> by_config;
+
+  static PackedClusters* Get() {
+    static PackedClusters* instance = [] {
+      auto* pc = new PackedClusters();
+      // Load order: tiny batches, one big day-0 batch, more tiny batches,
+      // so each shard's container list has big containers between runs
+      // of tiny ones.
+      std::vector<std::vector<Row>> loads;
+      int64_t next_id = 0;
+      auto tiny_load = [&] {
+        std::vector<Row> rows;
+        for (int64_t day = 1; day <= kPackedDays; ++day) {
+          for (int r = 0; r < 2; ++r) rows.push_back(PackedRow(next_id++, day));
+        }
+        loads.push_back(std::move(rows));
+      };
+      tiny_load();
+      tiny_load();
+      {
+        std::vector<Row> big;
+        for (int r = 0; r < 4500; ++r) big.push_back(PackedRow(next_id++, 0));
+        loads.push_back(std::move(big));
+      }
+      tiny_load();
+      std::vector<Row> wos_rows;
+      for (int r = 0; r < 20; ++r) {
+        wos_rows.push_back(PackedRow(next_id++, r % 7 + 1));
+      }
+      auto deleted = [](const Row& row) {
+        const int64_t id = row[0].int_value();
+        return (id >= 100 && id < 160) || row[1].int_value() == 5;
+      };
+
+      std::vector<Row> expected;
+      for (const std::vector<Row>& load : loads) {
+        for (const Row& row : load) {
+          if (!deleted(row)) expected.push_back(row);
+        }
+      }
+      for (const Row& row : wos_rows) expected.push_back(row);
+      pc->reference["packed"] = {PackedSchema(), expected};
+
+      for (int pushdown : {0, 1}) {
+        for (int width : kWidths) {
+          auto inst = std::make_unique<Instance>();
+          SimStoreOptions sopts;
+          sopts.get_latency_micros = 0;
+          sopts.put_latency_micros = 0;
+          sopts.list_latency_micros = 0;
+          inst->store = std::make_unique<SimObjectStore>(sopts, &inst->clock);
+          ClusterOptions copts;
+          copts.num_shards = 3;
+          copts.k_safety = 2;
+          copts.exec_threads = width;
+          copts.pushdown = pushdown;
+          copts.wos = 1;
+          copts.group_commit_micros = 0;
+          copts.wos_flush_rows = int64_t{1} << 40;
+          std::vector<NodeSpec> specs;
+          for (int i = 1; i <= 5; ++i) {
+            specs.push_back(NodeSpec{"n" + std::to_string(i), ""});
+          }
+          auto cluster = EonCluster::Create(inst->store.get(), &inst->clock,
+                                            copts, specs);
+          EON_CHECK(cluster.ok());
+          inst->cluster = std::move(cluster).value();
+          EonCluster* c = inst->cluster.get();
+          EON_CHECK(CreateTable(c, "packed", PackedSchema(), "day",
+                                {ProjectionSpec{"packed_super", {}, {"id"},
+                                                {"id"}}})
+                        .ok());
+          for (const std::vector<Row>& load : loads) {
+            EON_CHECK(CopyInto(c, "packed", load).ok());
+          }
+          EON_CHECK(DeleteWhere(c, "packed",
+                                Predicate::And(
+                                    Predicate::Cmp(0, CmpOp::kGe,
+                                                   Value::Int(100)),
+                                    Predicate::Cmp(0, CmpOp::kLt,
+                                                   Value::Int(160))))
+                        .ok());
+          EON_CHECK(DeleteWhere(c, "packed",
+                                Predicate::Cmp(1, CmpOp::kEq, Value::Int(5)))
+                        .ok());
+          EON_CHECK(InsertInto(c, "packed", wos_rows).ok());
+          // Cold big containers: with pushdown on, a selective scan pushes
+          // them to the store while their tiny neighbours stay local.
+          pc->by_config[{pushdown, width}] = std::move(inst);
+        }
+      }
+      return pc;
+    }();
+    return instance;
+  }
+};
+
+/// Evict the big containers' files from every cache: with pushdown on, a
+/// selective scan then pushes them to the store while their tiny
+/// neighbours stay local (a local read of them warms the cache again).
+void ChillBigContainers(EonCluster* c) {
+  for (const auto& holder : c->nodes()) {
+    auto snapshot = holder->catalog()->snapshot();
+    for (const auto& [oid, meta] : snapshot->containers) {
+      if (meta.row_count < 100) continue;
+      for (const auto& node : c->nodes()) {
+        node->cache()->DropPrefix(meta.base_key + "_c");
+      }
+    }
+  }
+}
+
+std::vector<std::pair<std::string, QuerySpec>> PackedQuerySet() {
+  std::vector<std::pair<std::string, QuerySpec>> out;
+  {
+    QuerySpec q;
+    q.scan.table = "packed";
+    q.scan.columns = {"id", "day", "v", "note"};
+    out.emplace_back("plain_scan", q);
+  }
+  {
+    QuerySpec q;
+    q.scan.table = "packed";
+    q.scan.columns = {"id", "note"};
+    q.scan.predicate = Predicate::And(
+        Predicate::Cmp(2, CmpOp::kLt, Value::Dbl(40.0)),
+        Predicate::Cmp(1, CmpOp::kLe, Value::Int(300)));
+    out.emplace_back("selective_scan", q);
+  }
+  {
+    QuerySpec q;
+    q.scan.table = "packed";
+    q.scan.columns = {"day"};
+    q.scan.predicate = Predicate::Cmp(1, CmpOp::kGe, Value::Int(200));
+    q.group_by = {"day"};
+    q.aggregates = {{AggFn::kCount, "", "n"}, {AggFn::kSum, "id", "s"}};
+    out.emplace_back("day_group_by", q);
+  }
+  {
+    QuerySpec q;
+    q.scan.table = "packed";
+    q.scan.columns = {"id"};
+    q.scan.predicate = Predicate::Cmp(2, CmpOp::kLt, Value::Dbl(20.0));
+    q.aggregates = {{AggFn::kCount, "", "n"},
+                    {AggFn::kSum, "id", "s"},
+                    {AggFn::kMax, "v", "hi"}};
+    out.emplace_back("global_aggregate", q);
+  }
+  return out;
+}
+
+TEST(ParallelDifferential, PackedMorselsAreBitIdenticalAndMatchReference) {
+  PackedClusters* pc = PackedClusters::Get();
+  constexpr CrunchMode kCrunches[] = {
+      CrunchMode::kNone, CrunchMode::kContainerSplit, CrunchMode::kHashFilter};
+  uint64_t pushed = 0;
+  for (int pushdown : {0, 1}) {
+    for (CrunchMode crunch : kCrunches) {
+      for (const auto& [name, spec] : PackedQuerySet()) {
+        const std::string label = name + " pushdown " +
+                                  std::to_string(pushdown) + " crunch " +
+                                  std::to_string(static_cast<int>(crunch));
+        std::vector<Row> serial;
+        for (int width : kWidths) {
+          EonCluster* c = pc->by_config[{pushdown, width}]->cluster.get();
+          if (pushdown == 1) ChillBigContainers(c);
+          EonSession session(c, "", /*seed=*/41);
+          session.set_crunch_mode(crunch);
+          auto result = session.Execute(spec);
+          ASSERT_TRUE(result.ok())
+              << label << " width " << width << ": "
+              << result.status().ToString();
+          pushed += result->profile.pushdown_containers_pushed;
+          if (width == 1) {
+            serial = std::move(result->rows);
+            auto expected = ReferenceExecute(pc->reference, spec);
+            ASSERT_TRUE(expected.ok()) << label;
+            std::string diff;
+            EXPECT_TRUE(SameResults(serial, *expected, /*ordered=*/false,
+                                    &diff))
+                << label << " vs reference: " << diff;
+            continue;
+          }
+          std::string diff;
+          EXPECT_TRUE(BitIdentical(result->rows, serial, &diff))
+              << label << ": width " << width << " diverged: " << diff;
+        }
+      }
+    }
+  }
+  // The pushed-container cut really happened.
+  EXPECT_GT(pushed, 0u);
+}
+
+// The pack rule, replayed from the catalog: per shard, containers in oid
+// order join the open pack until it holds 64 containers or would pass
+// 4,096 rows; the shard's WOS rows are one more task. A plain serial scan
+// with no crunch and no pushdown must run exactly that many tasks, at any
+// width.
+TEST(ParallelDifferential, PackedMorselsFollowThePackRule) {
+  PackedClusters* pc = PackedClusters::Get();
+  QuerySpec q = PackedQuerySet()[0].second;
+  for (int width : kWidths) {
+    EonCluster* c = pc->by_config[{0, width}]->cluster.get();
+    EonSession session(c, "", /*seed=*/43);
+    auto result = session.Execute(q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const obs::QueryProfile& p = result->profile;
+
+    // Nodes track only their subscribed shards' containers: take each
+    // shard's list from a node that holds it.
+    std::vector<std::shared_ptr<const CatalogState>> snapshots;
+    for (const auto& node : c->nodes()) {
+      snapshots.push_back(node->catalog()->snapshot());
+    }
+    const CatalogState& any = *snapshots.front();
+    const ProjectionDef* proj = nullptr;
+    for (const auto& [oid, def] : any.projections) {
+      if (def.name == "packed_super") proj = &def;
+    }
+    ASSERT_NE(proj, nullptr);
+    uint64_t packs = 0, containers = 0;
+    size_t full_packs = 0;
+    for (ShardId shard = 0; shard < any.sharding.num_segment_shards;
+         ++shard) {
+      std::vector<const StorageContainerMeta*> list;
+      for (const auto& snapshot : snapshots) {
+        auto held = snapshot->ContainersOf(proj->oid, shard);
+        if (held.size() > list.size()) list = std::move(held);
+      }
+      size_t open = 0;
+      uint64_t rows = 0;
+      for (const StorageContainerMeta* meta : list) {
+        ++containers;
+        if (open > 0 && open < 64 && rows + meta->row_count <= 4096) {
+          ++open;
+          rows += meta->row_count;
+          if (open == 64) ++full_packs;
+          continue;
+        }
+        ++packs;
+        open = 1;
+        rows = meta->row_count;
+      }
+    }
+    ASSERT_GT(containers, 2000u);
+    EXPECT_GT(full_packs, 0u);  // Some packs are cut at exactly 64.
+    EXPECT_EQ(p.containers_total, containers);
+    // One WOS task per shard holding memtable rows (all of them here).
+    EXPECT_EQ(p.exec_tasks, packs + any.sharding.num_segment_shards)
+        << "width " << width;
+  }
 }
 
 }  // namespace

@@ -306,6 +306,59 @@ TEST(WosTest, MoveoutThresholdTriggersSynchronously) {
   EXPECT_EQ(r->rows[0][1].int_value(), 10);
 }
 
+// Concurrent writers whose commits all see the threshold crossed must not
+// each run a moveout: the first moves the rows, the late ones find them
+// gone instead of flushing the few rows committed meanwhile into tiny
+// containers.
+TEST(WosTest, ConcurrentThresholdCrossingsMoveOutOnce) {
+  constexpr uint64_t kFlushRows = 30;
+  constexpr int kWriters = 3;
+  constexpr int kBatches = 40;
+  constexpr int64_t kBatchRows = 10;
+  auto b = MakeCluster(1, 1, kFlushRows);
+  ASSERT_NE(b, nullptr);
+  Node* n1 = b->cluster->node_by_name("n1");
+  ASSERT_NE(n1, nullptr);
+
+  std::vector<std::thread> writers;
+  std::atomic<int> failures{0};
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      InsertOptions on_n1;
+      on_n1.connected_node = "n1";
+      for (int i = 0; i < kBatches; ++i) {
+        const int64_t from = (w * kBatches + i) * kBatchRows;
+        if (!InsertInto(b->cluster.get(), "t", MakeRows(from, kBatchRows),
+                        on_n1)
+                 .ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  // Every threshold moveout moved at least a threshold's worth of rows,
+  // so there is at most one per crossing.
+  const uint64_t total_rows = kWriters * kBatches * kBatchRows;
+  size_t moveouts = 0;
+  uint64_t moved = 0;
+  for (const obs::DcWalEvent& e : n1->dc()->WalEvents()) {
+    if (e.kind != "moveout") continue;
+    ++moveouts;
+    moved += e.records;
+    EXPECT_GE(e.records, kFlushRows) << "moveout #" << moveouts;
+  }
+  EXPECT_GE(moveouts, 1u);
+  EXPECT_LE(moveouts, total_rows / kFlushRows);
+  EXPECT_EQ(moved + TotalUnflushed(b->cluster.get()), total_rows);
+
+  auto r = RunQuery(b->cluster.get(), ScanMode::kLateMat, AggQuery());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows[0][1].int_value(), static_cast<int64_t>(total_rows));
+}
+
 TEST(WosTest, TupleMoverSweepAndSystemTables) {
   auto b = MakeCluster(1, 1);
   ASSERT_NE(b, nullptr);
